@@ -50,7 +50,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--replicates", type=int, default=None, help="override the replicate budget")
+        p.add_argument(
+            "--replicates",
+            type=int,
+            default=None,
+            help="override `replicates`, the natural-law martingale budget "
+            "(other budgets come from the config)",
+        )
         p.add_argument(
             "--bridge-correction",
             action="store_true",

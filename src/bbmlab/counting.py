@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forest import Forest, lineage_grid_positions
+from .forest import Forest, lineage_grid_positions, propagate
 from .model import RngStream
 from .paths import Tube, TubeFamily
 
@@ -82,12 +82,26 @@ def lineage_sup_abs(forest: Forest, t: float) -> np.ndarray:
     """sup over recorded times <= t of |X| along each particle's lineage."""
     times, pos, starts = flat_series(forest)
     vals = np.where(times <= t + 1e-9 * forest.grid.dt, np.abs(pos), -math.inf)
-    own = np.maximum.reduceat(vals, starts[:-1])
-    out = np.empty(len(forest))
-    for i in range(len(forest)):
-        p = forest.parent[i]
-        out[i] = own[i] if p < 0 else max(own[i], out[p])
-    return out
+    return propagate(forest, np.maximum.reduceat(vals, starts[:-1]), np.maximum)
+
+
+def _bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn) -> np.ndarray:
+    """Bridge-correction rejections of the recorded segments along the last
+    axis of ``pos`` (``center`` matches that axis).
+
+    A bridge pinned strictly inside crosses a wall at distances a and b from
+    its ends with probability exp(-2ab/gap), exact for a straight wall and
+    nearly so for the tube's moving wall over one gap. A ``valid`` segment is
+    rejected when the caller's uniform for either side falls below that
+    probability.
+    """
+    safe_gap = np.where(valid, gap, 1.0)
+    rejected = np.zeros(u_up.shape, dtype=bool)
+    for dist, u in ((center + radius - pos, u_up), (pos - (center - radius), u_dn)):
+        left, right = dist[..., :-1], dist[..., 1:]
+        p = np.where(valid & (left > 0) & (right > 0), np.exp(-2.0 * left * right / safe_gap), 0.0)
+        rejected |= u < p
+    return rejected & valid
 
 
 class TubeMembership:
@@ -118,48 +132,17 @@ class TubeMembership:
         own = np.minimum.reduceat(exit_vals, starts[:-1]) if n else np.empty(0)
 
         if bridge:
-            own = np.minimum(own, self._bridge_exits(center, radius, relevant))
-
-        fe = np.empty(n)
-        parent = forest.parent
-        for i in range(n):
-            p = parent[i]
-            fe[i] = own[i] if p < 0 else min(own[i], fe[p])
-        self.first_exit = fe
+            gap = np.diff(times)
+            gap[starts[1:-1] - 1] = -1.0  # inter-particle gaps: not segments
+            valid = (gap > 1e-15) & relevant[1:]
+            # one interleaved (up, down) uniform pair per segment whatever the
+            # data, kept for byte-identical CSVs
+            u = forest.stream.split(BRIDGE_STREAM_TAG).generator().random(2 * len(gap))
+            rejected = _bridge_rejections(center, radius, pos, gap, valid, u[::2], u[1::2])
+            bridge_exits = np.append(np.where(rejected, times[1:], math.inf), math.inf)
+            own = np.minimum(own, np.minimum.reduceat(bridge_exits, starts[:-1]))
+        self.first_exit = propagate(forest, own, np.minimum)
         self.center_flat = center
-
-    def _bridge_exits(self, center: np.ndarray, radius: float, relevant: np.ndarray) -> np.ndarray:
-        """Per-particle earliest bridge-rejected segment endpoint.
-
-        The boundary moves with the tube centre; over one recording gap it is
-        nearly linear, for which exp(-2ab/dt) is the exact one-sided crossing
-        probability of the pinned bridge. One uniform pair is consumed per
-        recorded segment in flat order, so the draw count does not depend on
-        the data.
-        """
-        times, pos, starts = self.times, self.positions, self.starts
-        dts = np.diff(times)
-        seg_gap = dts.copy()
-        cross_idx = starts[1:-1] - 1
-        seg_gap[cross_idx] = -1.0  # inter-particle gaps: not segments
-        up_l = center[:-1] + radius - pos[:-1]
-        up_r = center[1:] + radius - pos[1:]
-        dn_l = pos[:-1] - (center[:-1] - radius)
-        dn_r = pos[1:] - (center[1:] - radius)
-        valid = (seg_gap > 1e-15) & relevant[1:]
-        safe_gap = np.where(valid, seg_gap, 1.0)
-        p_up = np.where(
-            valid & (up_l > 0) & (up_r > 0), np.exp(-2.0 * up_l * up_r / safe_gap), 0.0
-        )
-        p_dn = np.where(
-            valid & (dn_l > 0) & (dn_r > 0), np.exp(-2.0 * dn_l * dn_r / safe_gap), 0.0
-        )
-        rng = self.forest.stream.split(BRIDGE_STREAM_TAG).generator()
-        u = rng.random(2 * len(dts))
-        rejected = valid & ((u[::2] < p_up) | (u[1::2] < p_dn))
-        exit_vals = np.where(rejected, times[1:], math.inf)
-        exit_vals = np.concatenate([exit_vals, [math.inf]])  # pad so reduceat segments align
-        return np.minimum.reduceat(exit_vals, starts[:-1])
 
     def members_at(self, t: float) -> np.ndarray:
         """Indices of particles alive at recorded time t whose lineage stayed
@@ -297,19 +280,10 @@ def brownian_tube_indicator(
         return inside.astype(float)
     if stream is None:
         raise ValueError("bridge correction needs a stream")
-    dt = np.diff(grid_times)
-    seg_ok = times_mask[1:]
-    up_l = center[:-1] + radius - paths[:, :-1]
-    up_r = center[1:] + radius - paths[:, 1:]
-    dn_l = paths[:, :-1] - (center[:-1] - radius)
-    dn_r = paths[:, 1:] - (center[1:] - radius)
-    p_up = np.where((up_l > 0) & (up_r > 0), np.exp(-2.0 * up_l * up_r / dt), 1.0)
-    p_dn = np.where((dn_l > 0) & (dn_r > 0), np.exp(-2.0 * dn_l * dn_r / dt), 1.0)
-    rng = stream.split(BRIDGE_STREAM_TAG).generator()
-    u = rng.random(p_up.shape)
-    v = rng.random(p_dn.shape)
-    survive = ((u >= p_up) & (v >= p_dn) | ~seg_ok).all(axis=1)
-    return (inside & survive).astype(float)
+    # all up-side uniforms, then all down-side ones: kept for byte-identical CSVs
+    u = stream.split(BRIDGE_STREAM_TAG).generator().random((2, len(paths), paths.shape[1] - 1))
+    rejected = _bridge_rejections(center, radius, paths, np.diff(grid_times), times_mask[1:], *u)
+    return (inside & ~rejected.any(axis=1)).astype(float)
 
 
 class RoughnessIndeterminate(ValueError):

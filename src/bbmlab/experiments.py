@@ -264,8 +264,6 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
     else:
         report.add(CheckResult("integral_bound", "skip", note="needs a smooth path"))
         report.add(CheckResult("count_bound", "skip", note="needs a smooth path"))
-    if n_capped:
-        report.details["capped_replicates"] = n_capped
 
     # -- guided-law block ---------------------------------------------------
     gaps, broods, diffs = [], [], []
@@ -276,6 +274,9 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         qbase = RngStream(cfg.seed, (_S_SPINE,))
         for rep in range(cfg.spine_replicates):
             wf = spine.simulate_guided(params, tube, grid, stream=qbase.split(rep), cap=cfg.cap)
+            if wf.forest.capped:
+                n_capped += 1
+                continue
             gaps.extend(wf.spine.gap_draws)
             broods.extend(wf.spine.offspring)
             steps_total += wf.spine.n_steps
@@ -363,6 +364,9 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             n_env = max(cfg.spine_replicates // 2, 1)
             for rep in range(n_env):
                 wf = spine.simulate_guided(params, env_tube, grid, stream=ebase.split(rep), cap=cfg.cap)
+                if wf.forest.capped:
+                    n_capped += 1
+                    continue
                 chk = spine.envelope_check(wf, t_end, eta)
                 env_failures += 0 if chk.holds else 1
             report.add(
@@ -387,6 +391,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         for rep in range(cfg.tail_replicates):
             forest = simulate_forest(params, tgrid, stream=tb.split(rep), cap=cfg.cap)
             if forest.capped:
+                n_capped += 1
                 continue
             zs.append(
                 spine.additive_martingale(forest, ttube.t_end, ttube, bridge=cfg.bridge_correction)
@@ -410,23 +415,19 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         for rep in range(cfg.cross_replicates):
             forest = simulate_forest(params, cgrid, stream=dbase.split(rep), cap=cfg.cap)
             if forest.capped:
+                n_capped += 1
                 continue
             c = count_tube(forest, ctube, bridge=cfg.bridge_correction).count
             direct_counts.append(float(c))
             direct_nonempty.append(1.0 if c > 0 else 0.0)
-        mem_count = lambda f: float(
-            len(TubeMembership(f, ctube, bridge=cfg.bridge_correction).members_at(ctube.t_end))
-        )
-        imp_count = spine.importance_estimate(
-            mem_count, params, ctube, cgrid, cfg.cross_replicates,
+        mem_count = lambda mem: float(len(mem.members_at(ctube.t_end)))
+        imp_count, imp_nonempty = spine.importance_estimates(
+            (mem_count, lambda mem: 1.0 if mem_count(mem) > 0 else 0.0),
+            params, ctube, cgrid, cfg.cross_replicates,
             stream=RngStream(cfg.seed, (_S_CROSS_GUIDED,)), cap=cfg.cap,
             bridge=cfg.bridge_correction,
         )
-        imp_nonempty = spine.importance_estimate(
-            lambda f: 1.0 if mem_count(f) > 0 else 0.0, params, ctube, cgrid, cfg.cross_replicates,
-            stream=RngStream(cfg.seed, (_S_CROSS_GUIDED,)), cap=cfg.cap,
-            bridge=cfg.bridge_correction,
-        )
+        n_capped += imp_count.n_capped
         dmean, dse = _mean_se(direct_counts)
         report.add(
             check_z("cross_measure[E|N| importance vs direct]", imp_count.estimate, dmean,
@@ -451,6 +452,8 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
     else:
         report.add(CheckResult("cross_measure", "skip", note="needs a smooth path"))
 
+    if n_capped:
+        report.details["capped_replicates"] = n_capped
     if out_dir is not None:
         p = out_dir / "martingale.csv"
         write_csv(p, ["replicate", "t", "martingale"], z_rows)
@@ -581,18 +584,18 @@ def counterexample_mean_measure(T: float) -> float:
     """Exact Lebesgue measure of the spike set {omega: X_T(omega) = e^{2T}}.
 
     The set is a union over n of half-open intervals (T-n-delta, T-n+delta]
-    intersected with [0, 1]; for delta < 1/2 they are disjoint.
+    intersected with [0, 1]; for delta < 1/2 they are disjoint. Only centres
+    c = T - n in {frac(T) - 1, frac(T), frac(T) + 1} can meet [0, 1]. Each
+    length is min(delta, c) + min(delta, 1 - c), clipped at 0: offsets from
+    the centre, never a difference of endpoints near 1, where delta can be
+    below half an ulp.
     """
     delta = math.exp(-4.0 * T)
-    total = 0.0
-    n = max(0, math.floor(T - 1.0 - delta) - 1)
-    while T - n > -delta - 1.0:
-        lo = max(T - n - delta, 0.0)
-        hi = min(T - n + delta, 1.0)
-        if hi > lo:
-            total += hi - lo
-        n += 1
-    return total
+    n0 = math.floor(T)
+    return sum(
+        max(0.0, min(delta, c) + min(delta, 1.0 - c))
+        for c in (T - n for n in (n0 + 1, n0, n0 - 1) if n >= 0)
+    )
 
 
 def counterexample_mean_log_rate(T: float) -> float:
@@ -739,6 +742,7 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
     base = RngStream(cfg.seed, (_S_DIAG,))
     checked = 0
     hits = 0
+    n_capped = 0
     indeterminate = False
     t_end = cfg.theta * cfg.horizon
     for rep in range(cfg.roughness_replicates):
@@ -746,6 +750,7 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
             break
         forest = simulate_forest(params, grid, stream=base.split(rep), cap=cfg.cap)
         if forest.capped:
+            n_capped += 1
             continue
         alive = np.flatnonzero(forest.alive_mask(t_end))
         for pid in alive[: max(0, cfg.roughness_lineages - checked)]:
@@ -771,6 +776,8 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
         )
     report.details["checked"] = checked
     report.details["hits"] = hits
+    if n_capped:
+        report.details["capped_replicates"] = n_capped
     report.wall_clock = time.perf_counter() - t0
     return report
 

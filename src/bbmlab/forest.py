@@ -12,6 +12,9 @@ Storage is columnar (one numpy array per field across all particles) because
 analysis passes are vectorised over the whole forest; `ParticleRecord` is a
 per-particle view for callers who want one particle at a time. Particle ids
 are assigned in creation order, so a parent always precedes its children.
+`propagate`, the one routine that inherits a value along lineages, relies on
+that invariant (``parent[i] < i``): it makes every particle reachable from a
+root, one generation at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "brownian_paths",
     "lineage",
     "lineage_grid_positions",
+    "propagate",
     "dump_jsonl",
     "DEFAULT_CAP",
 ]
@@ -353,6 +357,22 @@ def lineage_grid_positions(forest: Forest, pid: int, t: float) -> np.ndarray:
         hi = min(lo + len(xs), k + 1)
         if hi > lo:
             out[lo:hi] = xs[: hi - lo]
+    return out
+
+
+def propagate(forest: Forest, own: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Inherit ``own`` along lineages: out[i] = ufunc(out[parent[i]], own[i]),
+    roots keep own[i]; one vectorised step per generation, found from
+    ``parent`` alone."""
+    out = np.array(own, dtype=np.float64)
+    parent = forest.parent
+    has_parent = parent >= 0
+    ids = np.flatnonzero(~has_parent)
+    while len(ids):
+        in_generation = np.zeros(len(parent), dtype=bool)
+        in_generation[ids] = True
+        ids = np.flatnonzero(has_parent & in_generation[parent])
+        out[ids] = ufunc(out[parent[ids]], own[ids])
     return out
 
 

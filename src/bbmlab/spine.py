@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .counting import TubeMembership
-from .forest import DEFAULT_CAP, Forest, _Builder
+from .forest import DEFAULT_CAP, Forest, _Builder, propagate
 from .model import ModelParams, RngStream, TimeGrid, sample_offspring, size_biased
 from .paths import SmoothPath, Tube
 
@@ -52,6 +52,7 @@ __all__ = [
     "envelope_check",
     "ImportanceResult",
     "importance_estimate",
+    "importance_estimates",
 ]
 
 _CLAMP_FRACTION = 1.0 - 1e-6
@@ -116,13 +117,9 @@ class TubeWeights:
         dI = fp[:-1] * dX
         dI[mem.starts[1:-1] - 1] = 0.0  # inter-particle joints are not increments
         self._cum = np.concatenate([[0.0], np.cumsum(dI)])
-        offsets = np.empty(len(forest))
-        starts, ends = mem.starts[:-1], mem.starts[1:] - 1
-        own_death = self._cum[ends] - self._cum[starts]
-        for i in range(len(forest)):
-            p = forest.parent[i]
-            offsets[i] = 0.0 if p < 0 else offsets[p] + own_death[p]
-        self._offset = offsets
+        own_death = self._cum[mem.starts[1:] - 1] - self._cum[mem.starts[:-1]]
+        parent = forest.parent
+        self._offset = propagate(forest, np.where(parent >= 0, own_death[parent], 0.0), np.add)
         self._lam = math.pi**2 / (8.0 * tube.epsilon**2 * T**2)
         self._a = math.pi / (2.0 * tube.radius)
 
@@ -470,8 +467,8 @@ class ImportanceResult:
     n_capped: int
 
 
-def importance_estimate(
-    functional: Callable[[Forest], float],
+def importance_estimates(
+    functionals: Sequence[Callable[[TubeMembership], float]],
     params: ModelParams,
     tube: Tube,
     grid: TimeGrid,
@@ -480,8 +477,9 @@ def importance_estimate(
     t: Optional[float] = None,
     cap: int = DEFAULT_CAP,
     bridge: bool = False,
-) -> ImportanceResult:
-    """Guided-law average of functional/Z(t), with 0/0 := 0.
+) -> list[ImportanceResult]:
+    """Guided-law averages of functional/Z(t), with 0/0 := 0, from one guided
+    pass; each functional reads the membership that gives Z.
 
     This is a consistent estimator of the natural-law mean restricted to the
     tube-populated event, which equals the full mean exactly for functionals
@@ -496,7 +494,7 @@ def importance_estimate(
     signals an integrator bug and raises.
     """
     t = tube.t_end if t is None else t
-    vals = []
+    vals = [[] for _ in functionals]
     n_capped = 0
     any_positive = False
     for rep in range(replicates):
@@ -506,14 +504,21 @@ def importance_estimate(
             continue
         membership = TubeMembership(wf.forest, tube, bridge=bridge)
         z = TubeWeights(wf.forest, tube, membership).martingale_at(t)
-        if z > 0.0:
-            any_positive = True
-            vals.append(functional(wf.forest) / z)
-        else:
-            vals.append(0.0)
-    if vals and not any_positive:
+        any_positive |= z > 0.0
+        for out, functional in zip(vals, functionals):
+            out.append(functional(membership) / z if z > 0.0 else 0.0)
+    if replicates > n_capped and not any_positive:
         raise RuntimeError("Z vanished on every guided replicate: integrator bug")
-    arr = np.asarray(vals)
-    est = float(arr.mean()) if len(arr) else math.nan
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.inf
-    return ImportanceResult(estimate=est, se=se, n=len(arr), n_capped=n_capped)
+    results = []
+    for out in vals:
+        arr = np.asarray(out)
+        est = float(arr.mean()) if len(arr) else math.nan
+        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.inf
+        results.append(ImportanceResult(estimate=est, se=se, n=len(arr), n_capped=n_capped))
+    return results
+
+
+def importance_estimate(functional: Callable[[Forest], float], *args, **kwargs) -> ImportanceResult:
+    """Guided-law average of functional/Z(t) for one forest functional; the
+    other arguments are those of :func:`importance_estimates`."""
+    return importance_estimates([lambda mem: functional(mem.forest)], *args, **kwargs)[0]

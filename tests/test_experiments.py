@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -83,9 +84,11 @@ def test_counterexample_value_matches_log():
 
 
 def test_counterexample_measure_exact():
-    # at T = 5 the spike set is (0, delta] from n=5 plus (1-delta, 1] from n=4
-    delta = math.exp(-20.0)
-    assert counterexample_mean_measure(5.0) == pytest.approx(2.0 * delta, rel=1e-12)
+    # at integer T the spike set is (0, delta] from n=T plus (1-delta, 1]
+    # from n=T-1, even once delta is below half an ulp of 1
+    for T in (5.0, 9.0, 10.0, 20.0, 25.0):
+        delta = math.exp(-4.0 * T)
+        assert counterexample_mean_measure(T) == pytest.approx(2.0 * delta, rel=1e-12, abs=0), T
 
 
 def test_counterexample_mean_rate_limits():
@@ -236,6 +239,22 @@ def test_run_diagnose_paths(tmp_path):
     assert report.passed
     assert report.details["checked"] > 0
     assert report.details["hits"] == 0
+
+
+def test_capped_replicates_are_counted_in_every_block():
+    # cap=1 truncates every replicate, natural or guided: each one must be
+    # dropped from its estimator and counted, in every block
+    cfg = tiny_config(cap=1, replicates=6, spine_replicates=4, tail_replicates=3,
+                      cross_replicates=5, roughness_replicates=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # KS on zero gap draws
+        report = run_martingale_suite(cfg)
+    n_envelope = cfg.spine_replicates // 2
+    expected = (cfg.replicates + cfg.spine_replicates + n_envelope + cfg.tail_replicates
+                + 2 * cfg.cross_replicates)  # cross block: direct and guided
+    assert report.details["capped_replicates"] == expected
+    assert not report.passed
+    assert run_diagnose_paths(cfg).details["capped_replicates"] == cfg.roughness_replicates
 
 
 # ---------------------------------------------------------------------------

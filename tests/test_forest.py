@@ -3,20 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from bbmlab import counting, spine
 from bbmlab.counting import flat_series
 from bbmlab.forest import (
+    Forest,
     brownian_paths,
     dump_jsonl,
     lineage,
     lineage_grid_positions,
     population_at,
     population_size,
+    propagate,
     simulate_forest,
     simulate_population_sizes,
 )
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid
+from bbmlab.paths import SmoothPath, Tube
 
 from conftest import make_params
 
@@ -199,3 +205,69 @@ def test_brownian_paths_shape_and_variance():
     end_var = paths[:, -1].var(ddof=1)
     se = 4.0 * math.sqrt(2.0 / 3999)
     assert abs(end_var - 4.0) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# lineage propagation
+# ---------------------------------------------------------------------------
+
+
+def reference_propagate(forest, own, ufunc):
+    """Per-particle loop in id order; valid because parents precede children."""
+    out = np.empty(len(forest))
+    for i, p in enumerate(forest.parent):
+        out[i] = own[i] if p < 0 else ufunc(out[p], own[i])
+    return out
+
+
+def bare_forest(parent):
+    """A genealogy with no trajectories: only ``parent`` is meaningful."""
+    n = len(parent)
+    zeros = np.zeros(n)
+    ints = np.zeros(n, dtype=np.int64)
+    return Forest(None, None, 0.0, np.asarray(parent, dtype=np.int64), zeros, zeros, ints,
+                  zeros, zeros, ints, np.empty(0), np.zeros(n + 1, dtype=np.int64), zeros,
+                  False, RngStream(0))
+
+
+@st.composite
+def genealogies(draw):
+    """Parent arrays with parent[i] < i, where any particle may be a root."""
+    n = draw(st.integers(1, 60))
+    return [-1] + [draw(st.integers(-1, i - 1)) for i in range(1, n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parent=genealogies(),
+    ufunc=st.sampled_from([np.minimum, np.maximum, np.add]),
+    data=st.data(),
+)
+def test_propagate_matches_reference_loop(parent, ufunc, data):
+    # sums stay finite: inf + -inf would be a NaN, and 60 terms of 1e300 fit
+    values = (st.floats(-1e300, 1e300) if ufunc is np.add else st.floats(allow_nan=False))
+    own = np.array(data.draw(st.lists(values, min_size=len(parent), max_size=len(parent))))
+    forest = bare_forest(parent)
+    out = propagate(forest, own, ufunc)
+    assert out.tobytes() == reference_propagate(forest, own, ufunc).tobytes()
+
+
+def test_lineage_consumers_match_reference_loop(monkeypatch):
+    # a guided forest numbers the spine's children before their subtrees, so
+    # its generations are not contiguous id ranges
+    params = make_params()
+    grid = TimeGrid(3.0, 60)
+    tube = Tube(SmoothPath.zero(8, "clamped"), 0.5, 1.0, 3.0)
+    forest = spine.simulate_guided(params, tube, grid, stream=RngStream(31, (0,))).forest
+    assert max(len(lineage(forest, i)) for i in range(len(forest))) > 4
+
+    def lineage_values():
+        mem = counting.TubeMembership(forest, tube, bridge=True)
+        weights = spine.TubeWeights(forest, tube, mem)
+        return mem.first_exit, weights._offset, counting.lineage_sup_abs(forest, 2.0)
+
+    fast = lineage_values()
+    monkeypatch.setattr(counting, "propagate", reference_propagate)
+    monkeypatch.setattr(spine, "propagate", reference_propagate)
+    for got, want in zip(fast, lineage_values()):
+        assert got.tobytes() == want.tobytes()
