@@ -130,11 +130,7 @@ class ExperimentConfig:
         return OffspringLaw(self.offspring)
 
     def model_params(self) -> ModelParams:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ModelParams(self.r, self.offspring_law())
+        return ModelParams(self.r, self.offspring_law())
 
     def grid(self, horizon: Optional[float] = None) -> TimeGrid:
         T = self.horizon if horizon is None else horizon

@@ -55,6 +55,8 @@ _S_GROWTH = 9
 _S_SIM = 10
 _S_DIAG = 11
 
+_NO_GUIDED = "no uncapped guided replicates"
+
 
 def _pooled_se(*ses: float) -> float:
     return math.sqrt(sum(se * se for se in ses))
@@ -292,43 +294,47 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             spine_rows.append(
                 (rep, t_end, z_q, decomp, wf.spine.n_clamped, len(w.membership.members_at(t_end)))
             )
-        rate_spine = (params.m + 1.0) * params.r
-        ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / rate_spine))
-        report.add(
-            CheckResult(
-                "spine_gap_law[KS vs Exp((m+1)r)]",
-                "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
-                observed=float(ks.pvalue),
-                benchmark=cfg.tol("law_alpha"),
-                note=f"{len(gaps)} gap draws",
-            )
-        )
-        biased = size_biased(params.offspring)
-        if biased.is_degenerate:
-            only = biased.pmf[0][0]
-            ok = all(b == only for b in broods)
+        if diffs:
+            rate_spine = (params.m + 1.0) * params.r
+            ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / rate_spine))
             report.add(
                 CheckResult(
-                    "spine_offspring_law[point mass]",
-                    "pass" if ok else "fail",
-                    observed=float(sum(b != only for b in broods)),
-                    benchmark=0.0,
-                )
-            )
-        else:
-            ks_list = [k for k, _ in biased.pmf]
-            observed = np.array([broods.count(k) for k in ks_list], dtype=float)
-            expected = np.array([p for _, p in biased.pmf]) * len(broods)
-            chi = sstats.chisquare(observed, expected)
-            report.add(
-                CheckResult(
-                    "spine_offspring_law[chi-square vs size-biased]",
-                    "pass" if chi.pvalue > cfg.tol("law_alpha") else "fail",
-                    observed=float(chi.pvalue),
+                    "spine_gap_law[KS vs Exp((m+1)r)]",
+                    "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
+                    observed=float(ks.pvalue),
                     benchmark=cfg.tol("law_alpha"),
-                    note=f"{len(broods)} births",
+                    note=f"{len(gaps)} gap draws",
                 )
             )
+            biased = size_biased(params.offspring)
+            if biased.is_degenerate:
+                only = biased.pmf[0][0]
+                ok = all(b == only for b in broods)
+                report.add(
+                    CheckResult(
+                        "spine_offspring_law[point mass]",
+                        "pass" if ok else "fail",
+                        observed=float(sum(b != only for b in broods)),
+                        benchmark=0.0,
+                    )
+                )
+            else:
+                ks_list = [k for k, _ in biased.pmf]
+                observed = np.array([broods.count(k) for k in ks_list], dtype=float)
+                expected = np.array([p for _, p in biased.pmf]) * len(broods)
+                chi = sstats.chisquare(observed, expected)
+                report.add(
+                    CheckResult(
+                        "spine_offspring_law[chi-square vs size-biased]",
+                        "pass" if chi.pvalue > cfg.tol("law_alpha") else "fail",
+                        observed=float(chi.pvalue),
+                        benchmark=cfg.tol("law_alpha"),
+                        note=f"{len(broods)} births",
+                    )
+                )
+        else:
+            for name in ("spine_gap_law", "spine_offspring_law"):
+                report.add(CheckResult(name, "fail", note=_NO_GUIDED))
         report.add(
             CheckResult(
                 "spine_in_tube[all recorded points]",
@@ -341,11 +347,14 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         report.add(
             check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} steps")
         )
-        dmean, dse = _mean_se(diffs)
-        report.add(
-            check_z("decomposition_vs_martingale[guided mean]", dmean, 0.0, dse, sigmas,
-                    note="paired difference")
-        )
+        if diffs:
+            dmean, dse = _mean_se(diffs)
+            report.add(
+                check_z("decomposition_vs_martingale[guided mean]", dmean, 0.0, dse, sigmas,
+                        note="paired difference")
+            )
+        else:
+            report.add(CheckResult("decomposition_vs_martingale", "fail", note=_NO_GUIDED))
     else:
         for name in ("spine_gap_law", "spine_offspring_law", "spine_in_tube", "spine_clamp_rate",
                      "decomposition_vs_martingale"):
@@ -697,7 +706,7 @@ def run_rate_query(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     params = cfg.model_params()
     path = cfg.build_path()
     query = rate.BallQuery(path, cfg.epsilon, cfg.theta, cfg.ball_resolution)
-    rep = rate.ball_report(query, params.rm)
+    rep = rate.max_rate_over_ball(query, params.rm)
     report.details["rate_report"] = {
         "raw_rate": rep.raw_rate,
         "rate": rep.rate,

@@ -9,7 +9,6 @@ replicate-parallel runs are order independent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -117,10 +116,9 @@ def sample_offspring_many(law: OffspringLaw, size: int, rng: np.random.Generator
 class ModelParams:
     """Branching rate and offspring law of the particle system.
 
-    Lifetimes are exponential with mean ``1/r``. The standing assumption of
-    the growth theory is m > 1, but m = 1 (strictly dyadic branching) is
-    accepted with a warning because several exact identities are only
-    available in that case.
+    Lifetimes are exponential with mean ``1/r``. Offspring counts are at
+    least 2, so m >= 1; m = 1 is the standard binary branching Brownian
+    motion.
     """
 
     r: float
@@ -129,11 +127,6 @@ class ModelParams:
     def __post_init__(self):
         if not self.r > 0.0:
             raise ValueError(f"branching rate must be positive, got {self.r}")
-        if self.offspring.m <= 1.0:
-            warnings.warn(
-                "offspring mean minus one is <= 1; growth-theory results assume > 1",
-                stacklevel=2,
-            )
 
     @property
     def m(self) -> float:
@@ -143,10 +136,6 @@ class ModelParams:
     def rm(self) -> float:
         """Malthusian growth exponent r*m of the expected population."""
         return self.r * self.offspring.m
-
-    @property
-    def low_mean_warning(self) -> bool:
-        return self.offspring.m <= 1.0
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,20 @@ to rescaled time theta is ``rm*theta - (1/2) int_0^theta f'^2`` as long as the
 expression stays nonnegative on every prefix; the first time it would go
 negative is the extinction time, beyond which the rate is minus infinity.
 This module computes those quantities exactly on grid paths and maximises the
-rate over sup-norm balls by projected gradient descent on the convex energy.
+rate over sup-norm balls exactly.
+
+On the grid s_k = k/n the energy up to theta is (1/2) sum_k d_k^2 / tau_k,
+where d_k is the increment over segment k and tau_k = 1/(n^2 w_k) is its
+length in stretched time (w_k is its overlap with [0, theta], so a partial
+last segment is exact). Minimising it over the ball is a taut string through
+the gates [f(s_k) - eps, f(s_k) + eps]: one string-pulling pass over the
+knots finds it (Davies & Kovac, Ann. Statist. 29, 2001).
+
+Two certificates then settle every ball query. If the box minimiser keeps
+E(phi) <= rm*phi on every prefix, its rate is the value. If it breaks the
+constraint anywhere, no path in the ball survives: where E(phi)/phi peaks
+last, the box minimiser's prefix is itself the least-energy way to get
+there (see :func:`max_rate_over_ball`), so the value is -inf.
 
 Plus/minus infinity are returned as genuine float infinities and treated as
 sentinels by the reporting layer; they never enter arithmetic.
@@ -14,6 +27,7 @@ sentinels by the reporting layer; they never enter arithmetic.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,20 +45,18 @@ __all__ = [
     "ConvergenceError",
     "min_energy_over_ball",
     "max_rate_over_ball",
-    "ball_report",
-    "path_report",
 ]
 
-GRAD_TOL = 1e-10
 MAX_ITER = 100_000
 FEAS_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """Optimizer failed to reach the target residual; carries the residual."""
+    """The ball solver ran out of its iteration budget; carries the KKT
+    residual reached and the iterations spent."""
 
     def __init__(self, residual: float, iterations: int):
-        super().__init__(f"projected gradient {residual:.3e} after {iterations} iterations")
+        super().__init__(f"ball solver residual {residual:.3e} after {iterations} iterations")
         self.residual = residual
         self.iterations = iterations
 
@@ -160,187 +172,129 @@ class RateReport:
     residual: float = 0.0
 
 
-class _BoxEnergy:
-    """Energy quadratic over grid values with box constraints and f(0)=0.
-
-    Variables are the values at s_1..s_n; segment k carries weight w_k equal
-    to its overlap with [0, theta], so partial last segments are exact.
-    """
+class _Ball:
+    """The discretised ball. Only the values at s_1..s_K enter the energy up
+    to theta, K being the number of segments that overlap [0, theta]; they
+    are the variables y, within [lo, hi], and the later values keep the
+    centre. Segment k weighs (1/2) n^2 times its overlap with [0, theta], so
+    the energy up to theta is ``w @ d**2`` for the increments d."""
 
     def __init__(self, query: BallQuery):
         n = query.resolution
-        self.n = n
         s = np.arange(n + 1) / n
-        center = np.asarray(query.center.value(s))
-        self.lo = center[1:] - query.epsilon
-        self.hi = center[1:] + query.epsilon
-        self.center = center
+        self.n = n
         self.theta = query.theta
-        w = np.clip(query.theta - s[:-1], 0.0, 1.0 / n)
-        self.w = w  # segment overlap with [0, theta]
-        self.scale = float(n * n)
-        # indices of grid constraint points s_j in (0, theta]
-        self.j_grid = np.arange(1, n + 1)[s[1:] <= query.theta + 1e-12]
+        self.center = np.asarray(query.center.value(s), dtype=np.float64)
+        w = 0.5 * n * n * np.clip(query.theta - s[:-1], 0.0, 1.0 / n)
+        # a segment overlapping [0, theta] by less than 1e-300 of its length
+        # is left free, which keeps its stretched time finite
+        self.K = int(np.count_nonzero(w > 0.5 * n * 1e-300))
+        self.w = w[: self.K]
+        self.lo = self.center[1 : self.K + 1] - query.epsilon
+        self.hi = self.center[1 : self.K + 1] + query.epsilon
+        # E(phi) - rm*phi is piecewise linear in phi, so the grid points in
+        # (0, theta] and theta itself stand for the whole interval
+        self.phi = np.append(s[1:][s[1:] <= query.theta + 1e-12], query.theta)
 
-    def full(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0.0], x])
-
-    def value(self, x: np.ndarray) -> float:
-        d = np.diff(self.full(x))
-        return float(0.5 * self.scale * np.dot(self.w, d * d))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        d = np.diff(self.full(x))
-        gw = self.scale * self.w * d
-        g = np.empty(self.n)
-        g[:-1] = gw[:-1] - gw[1:]
-        g[-1] = gw[-1]
-        return g
-
-    def hess_vec(self, v: np.ndarray) -> np.ndarray:
-        d = np.diff(np.concatenate([[0.0], v]))
-        gw = self.scale * self.w * d
-        out = np.empty(self.n)
-        out[:-1] = gw[:-1] - gw[1:]
-        out[-1] = gw[-1]
-        return out
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
-
-    def prefix_energies(self, x: np.ndarray) -> np.ndarray:
-        """Cumulative energies at the grid points s_1..s_n (full segments)."""
-        d = np.diff(self.full(x))
-        return np.cumsum(0.5 * self.scale * d * d / self.n)
-
-    def start(self) -> np.ndarray:
-        return self.project(self.center[1:].copy())
+    def full(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], y, self.center[self.K + 1 :]])
 
 
-def _grad_tol(g: np.ndarray) -> float:
-    # The absolute stop target is float64-infeasible once gradients scale
-    # like n^2; make it relative to the gradient magnitude instead.
-    return GRAD_TOL * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+def _taut_string(t: list, lo: list, hi: list) -> np.ndarray:
+    """Values at the knots t_0 < ... < t_N of the path from (t_0, lo_0) to
+    (t_N, lo_N) through the gates [lo_k, hi_k] (lo_0 = hi_0, lo_N = hi_N)
+    that minimises sum_k (x_{k+1} - x_k)^2 / (t_{k+1} - t_k): the taut
+    string, which is the shortest such path.
+
+    String pulling fixes the string's vertices from left to right. From the
+    last fixed vertex (the apex), ``upper`` is the taut path to the top of
+    the latest gate, convex because only upper limits bend it, and ``lower``
+    the concave one to its bottom. A new gate end that passes the other
+    chain pulls the apex along that chain. Each knot enters and leaves each
+    chain at most once, so the pass is linear in N.
+    """
+
+    def cross(o, a, b):  # > 0 iff the slope from o to b exceeds the slope from o to a
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    apex = (t[0], lo[0])
+    vertices = [apex]
+    upper, lower = deque([apex]), deque([apex])
+    for tk, lk, hk in zip(t[1:], lo[1:], hi[1:]):
+        for point, chain, other, side in (((tk, hk), upper, lower, 1.0), ((tk, lk), lower, upper, -1.0)):
+            while len(chain) > 1 and side * cross(chain[-2], chain[-1], point) <= 0.0:
+                chain.pop()
+            if len(chain) == 1:
+                while len(other) > 1 and side * cross(other[0], other[1], point) < 0.0:
+                    other.popleft()
+                    vertices.append(other[0])
+                chain[0] = other[0]
+            chain.append(point)
+    vertices.extend(list(upper)[1:])
+    vt, vx = zip(*vertices)
+    return np.interp(t, vt, vx)
 
 
-def _pgd_quadratic(prob: _BoxEnergy, x0: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Projected gradient with the exact quadratic line step and a monotone
-    backtracking guard (projection can spoil the unconstrained step)."""
-    x = x0.copy()
-    fx = prob.value(x)
-    lipschitz = 4.0 * prob.scale * max(np.max(prob.w), 1e-30)
-    stall = 0
-    for it in range(MAX_ITER):
-        g = prob.grad(x)
-        residual = float(np.max(np.abs(x - prob.project(x - g))))
-        if residual < _grad_tol(g):
-            return x, it, residual
-        qg = prob.hess_vec(g)
-        denom = float(np.dot(g, qg))
-        alpha = float(np.dot(g, g)) / denom if denom > 0.0 else 1.0 / lipschitz
-        while True:
-            cand = prob.project(x - alpha * g)
-            fc = prob.value(cand)
-            if fc <= fx or alpha < 1e-18:
-                break
-            alpha *= 0.5
-        # float floor: once energy differences underflow, the iterate only
-        # zigzags in the last ulps; stop honestly with the achieved residual.
-        if np.array_equal(cand, x) or fc >= fx - 1e-15 * (1.0 + abs(fx)):
-            stall += 1
-            if np.array_equal(cand, x) or stall >= 50:
-                return cand, it, residual
-        else:
-            stall = 0
-        x, fx = cand, fc
-    g = prob.grad(x)
-    residual = float(np.max(np.abs(x - prob.project(x - g))))
-    if residual < _grad_tol(g):
-        return x, MAX_ITER, residual
-    raise ConvergenceError(residual, MAX_ITER)
+def _box_phase(ball: _Ball):
+    """Exact energy minimiser y over the box, with its energies up to the
+    points phi, the iterations (one per knot the string-pulling pass
+    processes) and its KKT residual (the projected gradient of E(theta)).
+
+    The free end is handled by reflecting the corridor about theta and
+    pinning both ends to 0: by uniqueness the optimum is symmetric, and its
+    first half is the free-end optimum. Stretched time runs at w_0/w_k on
+    segment k, so full segments last 1 and a partial last one longer.
+    """
+    K = ball.K
+    if 2 * K > MAX_ITER:
+        raise ConvergenceError(math.inf, MAX_ITER)
+    y = np.empty(0)
+    if K:
+        times = np.concatenate([[0.0], np.cumsum(ball.w[0] / ball.w)])
+        t = np.concatenate([times, 2.0 * times[K] - times[K - 1 :: -1]])
+        gate_lo = np.concatenate([[0.0], ball.lo, ball.lo[:-1][::-1], [0.0]])
+        gate_hi = np.concatenate([[0.0], ball.hi, ball.hi[:-1][::-1], [0.0]])
+        string = _taut_string(t.tolist(), gate_lo.tolist(), gate_hi.tolist())
+        y = np.clip(string[1 : K + 1], ball.lo, ball.hi)
+    d = np.diff(y, prepend=0.0)
+    e = np.append(np.cumsum(0.5 * ball.n * d * d)[: len(ball.phi) - 1], ball.w @ (d * d))
+    grad = 2.0 * ball.w * d
+    grad[:-1] -= grad[1:]
+    residual = float(np.max(np.abs(y - np.clip(y - grad, ball.lo, ball.hi)), initial=0.0))
+    return y, e, 2 * K, residual
 
 
-def _pgd_general(prob: _BoxEnergy, x0, fun, grad, tol=GRAD_TOL, max_iter=MAX_ITER):
-    """Projected gradient with Barzilai-Borwein steps and Armijo backtracking,
-    for the non-quadratic penalty objectives."""
-    x = x0.copy()
-    fx = fun(x)
-    g = grad(x)
-    alpha = 1.0 / (4.0 * prob.scale + 1.0)
-    for it in range(max_iter):
-        residual = float(np.max(np.abs(x - prob.project(x - g))))
-        if residual < tol * (1.0 + float(np.max(np.abs(g), initial=0.0))) or fx < 1e-24:
-            return x, it, residual
-        step = alpha
-        while True:
-            cand = prob.project(x - step * g)
-            fc = fun(cand)
-            if fc <= fx - 1e-4 * np.dot(g, x - cand) or step < 1e-18:
-                break
-            step *= 0.5
-        if np.array_equal(cand, x):
-            return x, it, residual
-        g_new = grad(cand)
-        dx = cand - x
-        dg = g_new - g
-        denom = float(np.dot(dx, dg))
-        alpha = float(np.dot(dx, dx)) / denom if denom > 1e-30 else step * 2.0
-        alpha = min(max(alpha, 1e-12), 1e6)
-        x, fx, g = cand, fc, g_new
-    return x, max_iter, float(np.max(np.abs(x - prob.project(x - g))))
-
-
-def _constraint_terms(prob: _BoxEnergy, x: np.ndarray, rm: float) -> np.ndarray:
-    """Violations (E(phi) - rm*phi)+ at the grid points in (0, theta] and at
-    theta itself. Prefix energies are piecewise linear in phi, so these
-    points are sufficient for the whole interval."""
-    pref = prob.prefix_energies(x)
-    s = np.arange(1, prob.n + 1) / prob.n
-    c_grid = pref[prob.j_grid - 1] - rm * s[prob.j_grid - 1]
-    c_theta = prob.value(x) - rm * prob.theta
-    return np.maximum(np.append(c_grid, c_theta), 0.0)
-
-
-def _penalty_grad(prob: _BoxEnergy, x: np.ndarray, rm: float) -> np.ndarray:
-    d = np.diff(prob.full(x))
-    pref = np.cumsum(0.5 * prob.scale * d * d / prob.n)
-    s = np.arange(1, prob.n + 1) / prob.n
-    cpos = np.zeros(prob.n)
-    cg = pref[prob.j_grid - 1] - rm * s[prob.j_grid - 1]
-    cpos[prob.j_grid - 1] = np.maximum(cg, 0.0)
-    # sum_j 2 c_j^+ grad E_j via suffix sums of c^+ over segments
-    suffix = np.concatenate([np.cumsum(cpos[::-1])[::-1], [0.0]])
-    gw = 2.0 * prob.scale / prob.n * d * suffix[: prob.n]
-    g = np.empty(prob.n)
-    g[:-1] = gw[:-1] - gw[1:]
-    g[-1] = gw[-1]
-    c_theta = max(prob.value(x) - rm * prob.theta, 0.0)
-    if c_theta > 0.0:
-        g += 2.0 * c_theta * prob.grad(x)
-    return g
+def _report(ball: _Ball, y: np.ndarray, iterations: int, residual: float, value: float, rm=None) -> RateReport:
+    """Report for the ball optimum y with the given ball value; with rm, the
+    rate calculus of the argmax is filled in (for an extinct ball, -inf)."""
+    argmax = ball.full(y)
+    path = GridPath(argmax)
+    if value == -math.inf:
+        rates, active_lower, active_upper = (-math.inf, -math.inf, math.nan), (), ()
+    else:
+        rates = (math.nan,) * 3 if rm is None else (raw_rate(path, ball.theta, rm), value, extinction_theta(path, rm))
+        active_lower = tuple(int(i + 1) for i in np.flatnonzero(np.abs(y - ball.lo) < 1e-12))
+        active_upper = tuple(int(i + 1) for i in np.flatnonzero(np.abs(y - ball.hi) < 1e-12))
+    return RateReport(
+        raw_rate=rates[0],
+        rate=rates[1],
+        extinction_theta=rates[2],
+        energy_profile=tuple(path.energy_profile()),
+        ball_value=value,
+        argmax=tuple(argmax),
+        active_lower=active_lower,
+        active_upper=active_upper,
+        iterations=iterations,
+        residual=residual,
+    )
 
 
 def min_energy_over_ball(query: BallQuery) -> RateReport:
     """Minimal path energy over the discretised ball (the single-particle
     large-deviation cost of reaching the ball)."""
-    prob = _BoxEnergy(query)
-    x, iters, residual = _pgd_quadratic(prob, prob.start())
-    argmax = prob.full(x)
-    path = GridPath(argmax)
-    lo_active = tuple(int(i + 1) for i in np.flatnonzero(np.abs(x - prob.lo) < 1e-12))
-    hi_active = tuple(int(i + 1) for i in np.flatnonzero(np.abs(x - prob.hi) < 1e-12))
-    return RateReport(
-        raw_rate=math.nan,
-        rate=math.nan,
-        extinction_theta=math.nan,
-        energy_profile=tuple(path.energy_profile()),
-        ball_value=prob.value(x),
-        argmax=tuple(argmax),
-        active_lower=lo_active,
-        active_upper=hi_active,
-        iterations=iters,
-        residual=residual,
-    )
+    ball = _Ball(query)
+    y, e, iters, residual = _box_phase(ball)
+    return _report(ball, y, iters, residual, float(e[-1]))
 
 
 def max_rate_over_ball(query: BallQuery, rm: float) -> RateReport:
@@ -348,87 +302,18 @@ def max_rate_over_ball(query: BallQuery, rm: float) -> RateReport:
 
     Over non-extinct paths the rate orders inversely to the energy, so the
     maximiser is the energy minimiser subject to the prefix constraints
-    E(phi) <= rm*phi on (0, theta]. Three phases:
-
-    1. plain box-constrained energy minimisation; accept if the minimiser
-       already satisfies the prefix constraints;
-    2. otherwise minimise the squared prefix violation to decide feasibility
-       (no feasible path at all means the value is -inf);
-    3. otherwise re-minimise the energy under a penalty continuation on the
-       prefix constraints (the energy minimiser can genuinely violate a
-       prefix that other feasible paths satisfy).
+    E(phi) <= rm*phi on (0, theta]. The box minimiser y settles the query
+    exactly. If y meets every prefix constraint, rm*theta - E_y(theta) is
+    the value. If it breaks one, every path in the ball is extinct (-inf):
+    let phi* be the last maximiser of E_y(phi)/phi. If phi* = theta, no path
+    has less energy up to theta than y. Otherwise y is steeper on the
+    segment into phi* than on the one after, so its gradient there is
+    nonzero and y sits on the bound its incoming slope pushes against; y up
+    to phi* then meets the KKT conditions of minimising E(phi*) over the
+    ball, and every path has E(phi*) >= E_y(phi*) > rm*phi*.
     """
-    prob = _BoxEnergy(query)
-    x, iters, residual = _pgd_quadratic(prob, prob.start())
-    feas_scale = FEAS_TOL * max(1.0, abs(rm))
-    if float(np.max(_constraint_terms(prob, x, rm), initial=0.0)) <= feas_scale:
-        return _rate_report(prob, x, rm, iters, residual)
-
-    def viol(v):
-        return float(np.sum(_constraint_terms(prob, v, rm) ** 2))
-
-    x2, it2, res2 = _pgd_general(prob, x, viol, lambda v: _penalty_grad(prob, v, rm))
-    iters += it2
-    if viol(x2) > feas_scale**2:
-        # no feasible path anywhere in the ball: extinct before theta
-        argmax = prob.full(x2)
-        return RateReport(
-            raw_rate=-math.inf,
-            rate=-math.inf,
-            extinction_theta=math.nan,
-            energy_profile=tuple(GridPath(prob.full(x2)).energy_profile()),
-            ball_value=-math.inf,
-            argmax=tuple(argmax),
-            iterations=iters,
-            residual=res2,
-        )
-    x3 = x2
-    for mu in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
-
-        def fun(v, mu=mu):
-            return prob.value(v) + mu * float(np.sum(_constraint_terms(prob, v, rm) ** 2))
-
-        def grad(v, mu=mu):
-            return prob.grad(v) + mu * _penalty_grad(prob, v, rm)
-
-        x3, it3, res3 = _pgd_general(prob, x3, fun, grad, tol=GRAD_TOL * 10, max_iter=20_000)
-        iters += it3
-    return _rate_report(prob, x3, rm, iters, res3)
-
-
-def _rate_report(prob: _BoxEnergy, x: np.ndarray, rm: float, iters: int, residual: float) -> RateReport:
-    argmax_vals = prob.full(x)
-    path = GridPath(argmax_vals)
-    value = rm * prob.theta - prob.value(x)
-    theta0 = extinction_theta(path, rm)
-    lo_active = tuple(int(i + 1) for i in np.flatnonzero(np.abs(x - prob.lo) < 1e-12))
-    hi_active = tuple(int(i + 1) for i in np.flatnonzero(np.abs(x - prob.hi) < 1e-12))
-    return RateReport(
-        raw_rate=raw_rate(path, prob.theta, rm),
-        rate=value,
-        extinction_theta=theta0,
-        energy_profile=tuple(path.energy_profile()),
-        ball_value=value,
-        argmax=tuple(argmax_vals),
-        active_lower=lo_active,
-        active_upper=hi_active,
-        iterations=iters,
-        residual=residual,
-    )
-
-
-def ball_report(query: BallQuery, rm: float) -> RateReport:
-    """Full report for a ball query: optimiser value plus the rate calculus
-    of the argmax path."""
-    return max_rate_over_ball(query, rm)
-
-
-def path_report(path: Path, theta: float, rm: float) -> RateReport:
-    return RateReport(
-        raw_rate=raw_rate(path, theta, rm),
-        rate=rate_function(path, theta, rm),
-        extinction_theta=extinction_theta(path, rm),
-        energy_profile=tuple(
-            path.energy_profile() if isinstance(path, GridPath) else path.energy_profile()
-        ),
-    )
+    ball = _Ball(query)
+    y, e, iters, residual = _box_phase(ball)
+    if np.max(e - rm * ball.phi) > FEAS_TOL * max(1.0, abs(rm)):
+        return _report(ball, y, iters, residual, -math.inf, rm)
+    return _report(ball, y, iters, residual, float(rm * ball.theta - e[-1]), rm)

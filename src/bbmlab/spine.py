@@ -34,7 +34,7 @@ import numpy as np
 from .counting import TubeMembership
 from .forest import DEFAULT_CAP, Forest, _Builder, propagate
 from .model import ModelParams, RngStream, TimeGrid, sample_offspring, size_biased
-from .paths import SmoothPath, Tube
+from .paths import SmoothPath, Tube, _abs_linear_integral
 
 __all__ = [
     "SpineRecord",
@@ -417,24 +417,52 @@ def count_bound_check(
     return z, count, bound, z <= bound * (1.0 + 1e-9) + 1e-12
 
 
-def envelope_eta(path: SmoothPath, rm: float, theta: float, epsilon: float, scan: int = 100_000):
+def _max_ratio(pieces) -> float:
+    """Largest value of p(u) / (s + u) over pieces (p, s, lo, hi) with p a
+    polynomial in the local variable u (highest power first) and s + u > 0
+    on (lo, hi]. On a piece the maximum sits at an end or where
+    p'(u) (s + u) = p(u); where s + lo = 0 the ratio tends to p'(lo)."""
+    best = -math.inf
+    for p, s, lo, hi in pieces:
+        dp = np.polyder(p)
+        crit = np.roots(np.polysub(np.polymul(dp, [1.0, s]), p))
+        cands = [hi] + [min(max(r.real, lo), hi) for r in crit if abs(r.imag) <= 1e-7 * (1.0 + abs(r))]
+        vals = [np.polyval(p, u) / (s + u) for u in cands if s + u > 0.0]
+        vals.append(np.polyval(p, lo) / (s + lo) if s + lo > 0.0 else np.polyval(dp, lo))
+        best = max(best, *vals)
+    return float(best)
+
+
+def envelope_eta(path: SmoothPath, rm: float, theta: float, epsilon: float):
     """Hypothesis gate for the spine-sum envelope.
 
     Needs f'(0)=0 and a positive margin rm*phi - energy(phi) on (0, theta];
-    eta is half the worst-case margin per unit time (shaved by 0.1% against
-    scan error), and epsilon must satisfy 2*eps*int_0^phi|f''| <= eta*phi.
-    Returns (ok, eta, reason).
+    eta is half the worst-case margin per unit time, shaved by 0.1%, and
+    epsilon must satisfy 2*eps*int_0^phi|f''| <= eta*phi. The worst cases of
+    energy(phi)/phi and int_0^phi|f''|/phi are exact maxima over the
+    spline's polynomial pieces. Returns (ok, eta, reason).
     """
     if abs(path.derivative(0.0)) > 1e-9:
         return False, 0.0, "f'(0) != 0"
-    phis = np.linspace(theta / scan, theta, scan)
-    energies = np.array([path.energy(p) for p in phis])
-    margin = rm - np.max(energies / phis)
+    kmax, ulast = path._segment(float(theta))
+    b, alpha, beta = path._energy_anti, path._curv_alpha, path._curv_beta
+    energy_pieces, curv_pieces = [], []
+    for k in range(kmax + 1):
+        s, w = k / path.n, (1.0 / path.n if k < kmax else ulast)
+        energy_pieces.append((np.append(0.5 * b[:, k], path._energy_cum[k]), s, 0.0, w))
+        # |f''| = |alpha u + beta| keeps one sign between the ends and its root
+        root = -beta[k] / alpha[k] if alpha[k] != 0.0 else 0.0
+        ends = [0.0] + ([root] if 0.0 < root < w else []) + [w]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            sign = 1.0 if alpha[k] * 0.5 * (lo + hi) + beta[k] >= 0.0 else -1.0
+            quad = np.polyint(sign * np.array([alpha[k], beta[k]]))
+            quad[-1] = path._curv_cum[k] + _abs_linear_integral(alpha[k], beta[k], lo) - np.polyval(quad, lo)
+            curv_pieces.append((quad, s, lo, hi))
+    margin = rm - _max_ratio(energy_pieces)
     if margin <= 0.0:
         return False, 0.0, "rm*phi - energy(phi) not positive on (0, theta]"
     eta = 0.999 * 0.5 * margin
-    curvs = np.array([path.abs_curvature(p) for p in phis])
-    if 2.0 * epsilon * np.max(curvs / phis) > eta:
+    if 2.0 * epsilon * _max_ratio(curv_pieces) > eta:
         return False, eta, "epsilon too large for the curvature condition"
     return True, float(eta), ""
 

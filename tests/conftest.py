@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +10,7 @@ _IDX_EPS = 1e-9
 
 
 def make_params(r=1.0, law=DYADIC):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ModelParams(r, law)
+    return ModelParams(r, law)
 
 
 def synth_forest(params, grid, specs, horizon=None):

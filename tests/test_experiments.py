@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import pytest
 
@@ -246,14 +245,16 @@ def test_capped_replicates_are_counted_in_every_block():
     # dropped from its estimator and counted, in every block
     cfg = tiny_config(cap=1, replicates=6, spine_replicates=4, tail_replicates=3,
                       cross_replicates=5, roughness_replicates=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # KS on zero gap draws
-        report = run_martingale_suite(cfg)
+    report = run_martingale_suite(cfg)
     n_envelope = cfg.spine_replicates // 2
     expected = (cfg.replicates + cfg.spine_replicates + n_envelope + cfg.tail_replicates
                 + 2 * cfg.cross_replicates)  # cross block: direct and guided
     assert report.details["capped_replicates"] == expected
     assert not report.passed
+    # the guided-law block had nothing left to test, and says so
+    empty = {c.name: c for c in report.checks if c.note == "no uncapped guided replicates"}
+    assert set(empty) == {"spine_gap_law", "spine_offspring_law", "decomposition_vs_martingale"}
+    assert all(c.status == "fail" for c in empty.values())
     assert run_diagnose_paths(cfg).details["capped_replicates"] == cfg.roughness_replicates
 
 

@@ -100,13 +100,11 @@ def test_sample_mean_matches_law(law):
 def test_params_validation_and_warning():
     with pytest.raises(ValueError):
         make = ModelParams(0.0, DYADIC)
-    with pytest.warns(UserWarning):
-        params = ModelParams(1.0, DYADIC)  # m == 1
-    assert params.low_mean_warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        params = ModelParams(1.0, DYADIC)  # m == 1: standard binary BBM, no warning
         rich = ModelParams(1.0, OffspringLaw({2: 0.25, 4: 0.75}))  # m = 2.5
-    assert not rich.low_mean_warning
+    assert params.rm == 1.0
     assert rich.rm == pytest.approx(2.5)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbmlab import rate
@@ -238,3 +238,115 @@ def test_phase3_feasible_but_minimizer_violates():
     prof = path.energy_profile()
     s = np.arange(5) / 4
     assert np.all(prof <= rm * s + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# exact solver: closed forms, KKT certificates, extinction certificate, budget
+# ---------------------------------------------------------------------------
+
+
+def line_ball_value(slope, eps, theta, rm):
+    """Closed form over the ball around f(s) = slope*s when theta*n is whole:
+    the straight line of slope gap/theta, gap = (|slope| theta - eps)+, is
+    the least-energy path and survives iff its energy rate is <= rm."""
+    gap = max(abs(slope) * theta - eps, 0.0)
+    if 0.5 * (gap / theta) ** 2 > rm:
+        return -math.inf
+    return rm * theta - gap * gap / (2.0 * theta)
+
+
+def grid_energy_gradient(values, theta):
+    """Gradient in f(s_1..s_n) of (1/2) int_0^theta f'^2, segment by segment."""
+    v = np.asarray(values, dtype=float)
+    n = len(v) - 1
+    w = np.clip(theta - np.arange(n) / n, 0.0, 1.0 / n)
+    flux = n * n * w * np.diff(v)
+    return flux - np.append(flux[1:], 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "slope, eps, theta",
+    [(0.0, 0.5, 1.0), (1.2, 0.2, 1.0), (-0.9, 0.3, 0.5), (1.2, 0.2, 0.5), (2.5, 0.2, 1.0), (-3.0, 0.1, 0.5)],
+)
+def test_line_balls_match_closed_form(n, slope, eps, theta):
+    rm = 1.0
+    q = rate.BallQuery(GridPath.line(slope, n), eps, theta, n)
+    rep = rate.max_rate_over_ball(q, rm)
+    expected = line_ball_value(slope, eps, theta, rm)
+    x = np.asarray(rep.argmax)
+    s = np.arange(n + 1) / n
+    assert x[0] == 0.0 and np.all(np.abs(x - slope * s) <= eps + 1e-12)
+    assert rep.iterations == 2 * round(theta * n)
+    if expected == -math.inf:
+        assert rep.ball_value == -math.inf
+    else:
+        assert rep.ball_value == pytest.approx(expected, abs=1e-10)
+        assert rm * theta - oracle_energy(x, theta) == pytest.approx(rep.ball_value, abs=1e-10)
+        assert rep.residual <= 1e-9
+
+
+@given(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=32),
+    st.floats(min_value=0.01, max_value=1.5),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example([0.0], 1.0, 5e-324)  # an overlap too small for finite stretched time
+@settings(max_examples=150, deadline=None)
+def test_box_minimiser_meets_kkt(values, eps, theta):
+    center = np.array([0.0] + values)
+    n = len(values)
+    rep = rate.min_energy_over_ball(rate.BallQuery(GridPath(center), eps, theta, n))
+    x = np.asarray(rep.argmax)
+    lo, hi = center[1:] - eps, center[1:] + eps
+    assert x[0] == 0.0 and np.all(x[1:] >= lo) and np.all(x[1:] <= hi)
+    assert rep.ball_value == pytest.approx(oracle_energy(x, theta), rel=1e-12, abs=1e-12)
+    # g = lambda_lo - lambda_hi: a lower-bound multiplier is g where g > 0,
+    # an upper-bound one -g where g < 0
+    g = grid_energy_gradient(x, theta)
+    lam_lo, lam_hi = np.maximum(g, 0.0), np.maximum(-g, 0.0)
+    on_lo, on_hi = x[1:] - lo <= 1e-12, hi - x[1:] <= 1e-12
+    assert np.all(np.abs(g[~on_lo & ~on_hi]) <= 1e-9)  # stationarity off the bounds
+    assert np.all(lam_lo[~on_lo] <= 1e-9) and np.all(lam_hi[~on_hi] <= 1e-9)  # signs
+    assert np.all(lam_lo * (x[1:] - lo) <= 1e-9) and np.all(lam_hi * (hi - x[1:]) <= 1e-9)
+    assert rep.residual <= 1e-9
+
+
+@given(
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=16),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.sampled_from([1.0, 0.5, 0.3]),
+    st.floats(min_value=0.2, max_value=2.5),
+)
+@example([1.11, -0.67, 0.19, -0.3], 0.69, 1.0, 0.73)  # extinct through its first prefix only
+@settings(max_examples=150, deadline=None)
+def test_ball_argmax_meets_prefixes_or_certifies_extinction(values, eps, theta, rm):
+    center = GridPath([0.0] + values)
+    n = len(values)
+    q = rate.BallQuery(center, eps, theta, n)
+    rep = rate.max_rate_over_ball(q, rm)
+    x = np.asarray(rep.argmax)
+    s = np.arange(n + 1) / n
+    assert np.all(np.abs(x - np.asarray(center.value(s))) <= eps + 1e-12)
+    phis = [p for p in s[1:] if p <= theta + 1e-12] + [theta]
+    energies = np.array([oracle_energy(x, p) for p in phis])
+    if rep.ball_value > -math.inf:
+        assert np.all(energies <= rm * np.array(phis) + 1e-9)
+        assert rep.ball_value == pytest.approx(rm * theta - energies[-1], abs=1e-12)
+        return
+    # extinct: where E(phi)/phi of the box minimiser peaks last, no path in
+    # the ball has less energy (the box optimum up to phi* agrees), and that
+    # energy already exceeds rm*phi*
+    ratio = energies / np.array(phis)
+    phi_star = phis[int(np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-12))[-1])]
+    least = rate.min_energy_over_ball(rate.BallQuery(center, eps, phi_star, n)).ball_value
+    assert least > rm * phi_star
+    if n <= 4 and theta == 1.0:
+        assert lattice_search(q, rm)[0] == -math.inf
+
+
+def test_budget_caps_iterations(monkeypatch):
+    monkeypatch.setattr(rate, "MAX_ITER", 50)
+    with pytest.raises(rate.ConvergenceError) as info:
+        rate.max_rate_over_ball(rate.BallQuery(GridPath.line(1.2, 64), 0.2, 1.0, 64), 1.0)
+    assert info.value.iterations == 50
