@@ -1,4 +1,4 @@
-"""Exact event-driven simulation of the branching particle system.
+"""Exact generation-wise simulation of the branching particle system.
 
 Each particle lives an exponential time with mean 1/r, diffuses as a standard
 Brownian motion recorded at the grid times inside its lifetime (plus its birth
@@ -7,6 +7,15 @@ its current position. Branch times are exact event times, not per-step
 Bernoulli approximations, and Gaussian increments are exact at any spacing, so
 the recorded skeleton carries no time-discretisation bias; only tube
 membership between recorded times does (see `counting`).
+
+The simulator advances one whole generation per step. For a generation of n
+particles it makes exactly three draws, which define the random streams:
+``exponential(1/r, n)`` for the lifetimes, one ``standard_normal`` call for
+all k_i + 1 increments of every particle (k_i recorded grid times; the
+increments run birth -> first grid time, grid step by grid step, last grid
+time -> death), and one offspring draw for the particles not censored at the
+horizon (none for a point-mass law). Ids are breadth-first from the seed,
+the order a FIFO queue of particles would give.
 
 Storage is columnar (one numpy array per field across all particles) because
 analysis passes are vectorised over the whole forest; `ParticleRecord` is a
@@ -21,13 +30,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from .model import ModelParams, RngStream, TimeGrid, sample_offspring
+from .model import ModelParams, RngStream, TimeGrid, sample_offspring, sample_offspring_many
 
 __all__ = [
     "Forest",
@@ -147,7 +155,8 @@ class Forest:
 
 
 class _Builder:
-    """Accumulates particle rows; shared by the plain and guided simulators."""
+    """Accumulates particle rows in column chunks, in any id order; shared by
+    the plain and guided simulators."""
 
     def __init__(self, grid: TimeGrid, horizon: float, cap: int):
         if horizon > grid.T + _IDX_EPS * grid.dt:
@@ -157,103 +166,111 @@ class _Builder:
         self.grid = grid
         self.horizon = float(horizon)
         self.cap = cap
-        self.pid = []
-        self.parent = []
-        self.t_birth = []
-        self.t_death = []
-        self.n_off = []
-        self.x_birth = []
-        self.x_death = []
-        self.grid_lo = []
-        self.xs = []
-        self.raw_life = []
+        self.chunks = []
+        self.rows = 0
         self.next_pid = 0
         self.capped = False
 
-    def new_pid(self) -> int:
-        pid = self.next_pid
-        self.next_pid += 1
-        return pid
+    def new_pids(self, n: int) -> int:
+        """Reserve n consecutive ids and return the first."""
+        first = self.next_pid
+        self.next_pid += n
+        return first
 
-    def add_row(self, pid, parent, b, d, n_off, xb, xd, lo, xs, raw_life):
-        self.pid.append(pid)
-        self.parent.append(parent)
-        self.t_birth.append(b)
-        self.t_death.append(d)
-        self.n_off.append(n_off)
-        self.x_birth.append(xb)
-        self.x_death.append(xd)
-        self.grid_lo.append(lo)
-        self.xs.append(xs)
-        self.raw_life.append(raw_life)
-        if len(self.pid) >= self.cap:
+    def add_chunk(self, pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life):
+        """One row per entry of ``pid``; ``xs`` holds the rows' grid positions
+        back to back, ``n_grid`` of them per row."""
+        self.chunks.append((pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life))
+        self.rows += len(pid)
+        if self.rows >= self.cap:
             self.capped = True
 
-    def grow(self, queue: deque, params: ModelParams, rng: np.random.Generator) -> None:
-        """Event-driven expansion of (birth, pid, parent, x) seeds under the
-        natural law, FIFO order for reproducibility."""
-        grid, horizon = self.grid, self.horizon
-        dt = grid.dt
-        sqrt = math.sqrt
-        sqrt_dt = sqrt(dt)
+    def grow(self, b: float, x: float, pid: int, parent: int, params: ModelParams,
+             rng: np.random.Generator) -> None:
+        """Expand seed ``pid`` (born at time b at position x) under the natural
+        law one generation per step; ids are breadth-first, as a FIFO queue
+        would give them. A generation that would pass ``cap`` is cut to its
+        first seeds. Positions wait for the genealogy: one pass over all
+        generations turns the drawn normals into paths."""
+        if self.capped:
+            return
+        dt, horizon = self.grid.dt, self.horizon
         inv_r = 1.0 / params.r
-        law = params.offspring
-        degenerate = law.is_degenerate
-        k_fixed = law.pmf[0][0] if degenerate else 0
-        while queue:
-            if self.capped:
-                return
-            b, pid, parent, xb = queue.popleft()
-            life = rng.exponential(inv_r)
-            d = b + life
-            censored = d >= horizon
-            if censored:
-                d = horizon
-            i0 = int(math.ceil(b / dt - _IDX_EPS))
-            i1 = int(math.floor(d / dt + _IDX_EPS))
-            k = i1 - i0 + 1
-            if k < 0:
-                k = 0
-            z = rng.standard_normal(k + 1)
-            if k > 0:
-                z[0] *= sqrt(max(i0 * dt - b, 0.0))
-                z[-1] *= sqrt(max(d - i1 * dt, 0.0))
-                if k > 1:
-                    z[1:-1] *= sqrt_dt
-            else:
-                z[0] *= sqrt(d - b)
-            path = z.cumsum()
-            path += xb
-            xd = float(path[-1])
-            if censored:
-                n_off = -1
-            else:
-                n_off = k_fixed if degenerate else sample_offspring(law, rng)
-                for _ in range(n_off):
-                    queue.append((d, self.new_pid(), pid, xd))
-            self.add_row(pid, parent, b, d, n_off, xb, xd, i0, path[:-1], life)
+        rows, gens = self.rows, []
+        b, ids, parent = np.array([b], dtype=np.float64), np.array([pid]), np.array([parent])
+        while len(b) and rows < self.cap:
+            n = min(len(b), self.cap - rows)
+            b, ids, parent = b[:n], ids[:n], parent[:n]
+            life = rng.exponential(inv_r, n)
+            d = np.minimum(b + life, horizon)
+            alive = d < horizon
+            i0 = np.ceil(b / dt - _IDX_EPS).astype(np.int64)
+            k = np.maximum(np.floor(d / dt + _IDX_EPS).astype(np.int64) - i0 + 1, 0)
+            z = rng.standard_normal(n + int(k.sum()))
+            n_off = np.full(n, -1, dtype=np.int64)
+            n_off[alive] = sample_offspring_many(params.offspring, int(np.count_nonzero(alive)), rng)
+            gens.append((ids, parent, b, d, n_off, i0, k, z, life))
+            rows += n
+            broods = n_off[alive]
+            parent = np.repeat(ids[alive], broods)
+            b = np.repeat(d[alive], broods)
+            first = self.new_pids(len(b))
+            ids = np.arange(first, first + len(b))
+        ids, parent, b, d, n_off, i0, k, path, life = (np.concatenate(col) for col in zip(*gens))
+        # k + 1 increments per particle: birth -> first grid time, grid steps,
+        # last grid time -> death (one increment birth -> death when k = 0)
+        end = np.cumsum(k + 1)
+        start, last = end - (k + 1), end - 1
+        inner = k > 0
+        scale = np.full(len(path), math.sqrt(dt))
+        scale[start] = np.sqrt(np.where(inner, np.maximum(i0 * dt - b, 0.0), d - b))
+        scale[last[inner]] = np.sqrt(np.maximum(d - (i0 + k - 1) * dt, 0.0)[inner])
+        path *= scale
+        np.cumsum(path, out=path)
+        base = np.zeros(len(b))
+        base[1:] = path[last[:-1]]
+        path -= np.repeat(base, k + 1)
+        # a generation starts where its parents died; a generation's ids are
+        # consecutive, so a parent's row is its id less ``shift``, the first
+        # id of the parents' generation less that generation's first row
+        xb, xd = np.full(len(b), float(x)), path[last]
+        lo, shift = 0, 0
+        for g in gens:
+            hi = lo + len(g[0])
+            if lo:
+                xb[lo:hi] = xd[parent[lo:hi] - shift]
+            xd[lo:hi] += xb[lo:hi]
+            lo, shift = hi, g[0][0] - lo
+        path += np.repeat(xb, k + 1)
+        on_grid = np.ones(len(path), dtype=bool)
+        on_grid[last] = False
+        self.add_chunk(ids, parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life)
 
     def finish(self, params: ModelParams, stream: RngStream) -> Forest:
-        order = np.argsort(np.array(self.pid, dtype=np.int64), kind="stable")
-        xs_list = [self.xs[i] for i in order]
-        lens = np.array([len(a) for a in xs_list], dtype=np.int64)
-        xs_off = np.concatenate([[0], np.cumsum(lens)])
-        xs_flat = np.concatenate(xs_list) if xs_list else np.empty(0)
-        take = lambda col, dtype: np.array(col, dtype=dtype)[order]
+        dtypes = (np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64,
+                  np.int64, np.float64, np.int64, np.float64)
+        pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, life = (
+            np.concatenate(col, dtype=t) for col, t in zip(zip(*self.chunks), dtypes)
+        )
+        order = np.argsort(pid, kind="stable")
+        xs_off = np.concatenate([[0], np.cumsum(n_grid[order])])
+        # grid positions follow their rows into id order
+        xs_start = (np.cumsum(n_grid) - n_grid)[order]
+        xs = xs[np.repeat(xs_start - xs_off[:-1], n_grid[order]) + np.arange(len(xs))]
         return Forest(
             params=params,
             grid=self.grid,
             horizon=self.horizon,
-            parent=take(self.parent, np.int64),
-            t_birth=take(self.t_birth, np.float64),
-            t_death=take(self.t_death, np.float64),
-            n_offspring=take(self.n_off, np.int64),
-            x_birth=take(self.x_birth, np.float64),
-            x_death=take(self.x_death, np.float64),
-            grid_lo=take(self.grid_lo, np.int64),
-            xs_flat=xs_flat,
+            parent=parent[order],
+            t_birth=b[order],
+            t_death=d[order],
+            n_offspring=n_off[order],
+            x_birth=xb[order],
+            x_death=xd[order],
+            grid_lo=lo[order],
+            xs_flat=xs,
             xs_off=xs_off,
-            raw_lifetimes=take(self.raw_life, np.float64),
+            raw_lifetimes=life[order],
             capped=self.capped,
             stream=stream,
         )
@@ -272,8 +289,7 @@ def simulate_forest(
     estimators by the callers."""
     horizon = grid.T if horizon is None else float(horizon)
     builder = _Builder(grid, horizon, cap)
-    queue = deque([(0.0, builder.new_pid(), -1, 0.0)])
-    builder.grow(queue, params, stream.generator())
+    builder.grow(0.0, 0.0, builder.new_pids(1), -1, params, stream.generator())
     return builder.finish(params, stream)
 
 

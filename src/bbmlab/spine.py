@@ -25,7 +25,6 @@ recorded skeleton), so a check can only fail for substantive reasons.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -93,9 +92,12 @@ class WeightedForest:
         self.tube = tube
         self._weights: Optional[TubeWeights] = None
 
-    def weights(self) -> "TubeWeights":
-        if self._weights is None:
-            self._weights = TubeWeights(self.forest, self.tube)
+    def weights(self, membership: Optional[TubeMembership] = None) -> "TubeWeights":
+        """Tube weights of this replicate, built once. A caller that already
+        holds a membership (say a bridge-corrected one) passes it in and the
+        weights read it instead of building their own."""
+        if self._weights is None or (membership is not None and membership is not self._weights.membership):
+            self._weights = TubeWeights(self.forest, self.tube, membership)
         return self._weights
 
 
@@ -279,36 +281,34 @@ def simulate_guided(
     sibling_counter = 0
     t, x = 0.0, 0.0
     parent = -1
-    pid = builder.new_pid()
+    pid = builder.new_pids(1)
     while True:
         gap = spine_rng.exponential(1.0 / spine_rate)
         gaps.append(gap)
-        d = t + gap
-        if d >= T:
-            i0, xs, xd = _spine_piece(tube.path, T, eps_T, spine_rng, dt, h_base, t, x, T, stats)
-            builder.add_row(pid, parent, t, T, -1, x, xd, i0, xs, gap)
-            pids.append(pid)
-            break
+        censored = t + gap >= T
+        d = T if censored else t + gap
         i0, xs, xd = _spine_piece(tube.path, T, eps_T, spine_rng, dt, h_base, t, x, d, stats)
-        brood = sample_offspring(biased, spine_rng)
-        builder.add_row(pid, parent, t, d, brood, x, xd, i0, xs, gap)
+        brood = -1 if censored else sample_offspring(biased, spine_rng)
+        builder.add_chunk([pid], [parent], [t], [d], [brood], [x], [xd], [i0], xs, [len(xs)], [gap])
         pids.append(pid)
+        if censored:
+            break
         births.append(d)
         broods.append(brood)
-        child_ids = [builder.new_pid() for _ in range(brood)]
+        first_child = builder.new_pids(brood)
         chosen = int(spine_rng.integers(brood))
         choices.append(chosen)
-        for j, cid in enumerate(child_ids):
+        for j in range(brood):
             if j == chosen:
                 continue
             sib = stream.split(1 + sibling_counter)
             sibling_counter += 1
-            builder.grow(deque([(d, cid, pid, xd)]), params, sib.generator())
+            builder.grow(d, xd, first_child + j, pid, params, sib.generator())
             if builder.capped:
                 break
         if builder.capped:
             break
-        parent, pid = pid, child_ids[chosen]
+        parent, pid = pid, first_child + chosen
         t, x = d, xd
     forest = builder.finish(params, stream)
     record = SpineRecord(

@@ -208,6 +208,52 @@ def test_brownian_paths_shape_and_variance():
 
 
 # ---------------------------------------------------------------------------
+# generation-wise core: structural invariants of any simulated forest
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    law=st.sampled_from([{2: 1.0}, {2: 0.5, 3: 0.5}]),
+    T=st.floats(0.25, 3.0),
+    steps=st.integers(1, 40),
+    horizon_frac=st.sampled_from([None, 0.0, 0.37, 0.5, 1.0]),
+    cap=st.sampled_from([1, 2, 7, 40, 10**6]),
+    seed=st.integers(0, 2**16),
+)
+def test_forest_invariants(law, T, steps, horizon_frac, cap, seed):
+    grid = TimeGrid(T, steps)
+    horizon = None if horizon_frac is None else horizon_frac * T
+    forest = simulate_forest(make_params(law=OffspringLaw(law)), grid, horizon, RngStream(seed, (0,)), cap)
+    n, parent, dt = len(forest), forest.parent, grid.dt
+    assert n <= cap and (forest.capped or n < cap)
+    # ids are breadth-first: parents precede children, broods are contiguous
+    assert parent[0] == -1
+    assert np.all((parent[1:] >= 0) & (parent[1:] < np.arange(1, n)))
+    assert np.all(np.diff(parent[1:]) >= 0)
+    # a child starts exactly where and when its parent died
+    assert forest.t_birth[1:].tobytes() == forest.t_death[parent[1:]].tobytes()
+    assert forest.x_birth[1:].tobytes() == forest.x_death[parent[1:]].tobytes()
+    # censored iff the lifetime reaches the horizon; a capped forest may
+    # miss children from its last parent on
+    assert np.array_equal(forest.n_offspring == -1, forest.t_death == forest.horizon)
+    children = np.bincount(parent[1:], minlength=n)
+    brood = np.maximum(forest.n_offspring, 0)
+    complete = n if not forest.capped else (parent[-1] if n > 1 else 0)
+    assert np.array_equal(children[:complete], brood[:complete]) and np.all(children <= brood)
+    # grid positions: exactly the grid times inside [birth, death]
+    assert forest.xs_off[0] == 0 and forest.xs_off[-1] == len(forest.xs_flat)
+    times = grid.times()
+    tol = 1e-9 * dt
+    for i in range(n):
+        inside = np.flatnonzero((times >= forest.t_birth[i] - tol) & (times <= forest.t_death[i] + tol))
+        assert len(forest.grid_positions(i)) == len(inside)
+        if len(inside):
+            assert forest.grid_lo[i] == inside[0]
+    assert forest.grid_positions(0)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # lineage propagation
 # ---------------------------------------------------------------------------
 

@@ -223,9 +223,11 @@ def test_optimizer_matches_lattice(center, eps, rm):
         assert lattice_rate == -math.inf
 
 
-def test_phase3_feasible_but_minimizer_violates():
-    # centre found by random search: the unconstrained energy minimiser
-    # breaks an early prefix constraint that other feasible paths satisfy
+def test_curved_ball_settled_by_feasibility_certificate():
+    # a curved centre whose ball minimiser of E(theta) meets every prefix
+    # constraint (E = 0.208, 0.415, 0.660, 0.904 at s = 1/4..1 against
+    # rm*s = 0.245, 0.491, 0.736, 0.981): the value is finite, at least the
+    # lattice search's, and the argmax survives every prefix
     center = GridPath((0.0, -0.19113457, -0.97312417, -0.53002325, 0.38354279))
     q = rate.BallQuery(center, 0.3286981786619302, 1.0, 4)
     rm = 0.9811459644261078

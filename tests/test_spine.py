@@ -5,11 +5,12 @@ import pytest
 from scipy import stats as sstats
 
 from bbmlab.counting import TubeMembership, count_tube
-from bbmlab.forest import simulate_forest
+from bbmlab.forest import _Builder, simulate_forest
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid, size_biased
 from bbmlab.paths import GridPath, SmoothPath, Tube
 from bbmlab.spine import (
     TubeWeights,
+    WeightedForest,
     additive_martingale,
     count_bound_check,
     envelope_check,
@@ -215,6 +216,48 @@ def test_guided_determinism():
 # ---------------------------------------------------------------------------
 # spine decomposition
 # ---------------------------------------------------------------------------
+
+
+def test_spine_stream_ignores_subtrees(monkeypatch):
+    # each sibling subtree has its own stream, so growing none of them leaves
+    # the spine's draws, diagnostics and rows exactly as they were
+    params = make_params(law=MIXED)
+    grid = TimeGrid(3.0, 60)
+    tube = flat_tube(3.0)
+
+    def spine_view(rows):
+        wf = simulate_guided(params, tube, grid, stream=RngStream(17, (2,)))
+        s, f = wf.spine, wf.forest
+        record = (s.birth_times, s.offspring, s.gap_draws, s.child_choices, s.n_steps, s.n_clamped)
+        return wf, record, [
+            (f.t_birth[i], f.t_death[i], f.n_offspring[i], f.x_birth[i], f.x_death[i],
+             f.grid_lo[i], f.raw_lifetimes[i], f.grid_positions(i).tobytes())
+            for i in rows(wf)
+        ]
+
+    real, record, rows = spine_view(lambda wf: wf.spine.pids)
+    assert len(real.spine.offspring) >= 2 and len(real.forest) > len(real.spine.pids)
+    monkeypatch.setattr(_Builder, "grow", lambda self, *args: None)
+    # with no subtree rows the spine rows are the whole forest, in id order
+    alone, alone_record, alone_rows = spine_view(lambda wf: range(len(wf.forest)))
+    assert len(alone.forest) == len(alone.spine.pids)
+    assert alone_record == record
+    assert alone_rows == rows
+
+
+def test_weights_read_a_given_membership():
+    params = make_params()
+    grid = TimeGrid(2.0, 40)
+    tube = flat_tube(2.0)
+    wf = simulate_guided(params, tube, grid, stream=RngStream(18, (0,)))
+    mem = TubeMembership(wf.forest, tube, bridge=True)
+    w = wf.weights(mem)
+    assert w.membership is mem and wf.weights() is w and wf.weights(mem) is w
+    assert w.martingale_at(2.0) == TubeWeights(wf.forest, tube, mem).martingale_at(2.0)
+    # the default still builds its own membership, without the bridge draws
+    plain = WeightedForest(wf.forest, wf.spine, tube).weights()
+    assert plain.membership is not mem
+    assert np.array_equal(plain.membership.first_exit, TubeMembership(wf.forest, tube).first_exit)
 
 
 def test_decomposition_before_first_branch():
