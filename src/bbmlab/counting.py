@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,11 @@ __all__ = [
     "brownian_tube_indicator",
     "rescaled_lineage",
     "flat_series",
+    "series_starts",
+    "series_blocks",
+    "SeriesBlock",
+    "SERIES_BLOCK_POINTS",
+    "recorded_values",
     "lineage_sup_abs",
     "BRIDGE_STREAM_TAG",
 ]
@@ -41,48 +47,106 @@ __all__ = [
 # never collide with simulation draws.
 BRIDGE_STREAM_TAG = 0xB51D6E
 
+# Most points one SeriesBlock holds; a particle with more is a block of its
+# own. Passes over the series keep their per-point temporaries to one block.
+SERIES_BLOCK_POINTS = 1 << 16
 
-def _flat_ranges(counts: np.ndarray) -> np.ndarray:
-    """[0..c0-1, 0..c1-1, ...] for segmented array construction."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
+
+def series_starts(forest: Forest) -> np.ndarray:
+    """Offsets of the particles in the forest's flat recorded series: particle
+    i owns points [starts[i], starts[i+1]), its birth, grid times and death."""
+    return np.concatenate([[0], np.cumsum(np.diff(forest.xs_off) + 2)])
+
+
+class SeriesBlock:
+    """The recorded series of particles lo..hi-1, laid out flat.
+
+    Each particle contributes [birth, grid times..., death]; ``starts`` has
+    length hi - lo + 1, so particle lo + j owns the slice [starts[j],
+    starts[j+1]). Duplicated endpoints (birth or death exactly on the grid)
+    are harmless: they produce zero-length increments everywhere downstream.
+    """
+
+    def __init__(self, forest: Forest, starts: np.ndarray, lo: int, hi: int):
+        self.forest, self.lo, self.hi = forest, lo, hi
+        self.first = int(starts[lo])  # of the block's points in the whole series
+        self.starts = starts[lo : hi + 1] - self.first
+        xs_off = forest.xs_off[lo : hi + 1]
+        k = np.diff(xs_off)
+        # grid index of every grid point: grid_lo, grid_lo + 1, ... per particle
+        shift = forest.grid_lo[lo:hi] - (xs_off[:-1] - xs_off[0])
+        self._grid = np.arange(int(xs_off[-1] - xs_off[0])) + np.repeat(shift, k)
+        self._inner = np.ones(int(self.starts[-1]), dtype=bool)
+        self._inner[self.starts[:-1]] = False
+        self._inner[self.starts[1:] - 1] = False
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        f = self.forest
+        return self._place(f.t_birth, self._grid * f.grid.dt, f.t_death)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        f = self.forest
+        return self._place(f.x_birth, f.xs_flat[f.xs_off[self.lo] : f.xs_off[self.hi]], f.x_death)
+
+    def spread(self, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Per-point values from a :func:`recorded_values` table."""
+        birth, grid, death = table
+        return self._place(birth, grid[self._grid], death)
+
+    def _place(self, birth, inner, death) -> np.ndarray:
+        out = np.empty(len(self._inner))
+        out[self.starts[:-1]] = birth[self.lo : self.hi]
+        out[self.starts[1:] - 1] = death[self.lo : self.hi]
+        out[self._inner] = inner
+        return out
+
+
+def series_blocks(forest: Forest, starts: Optional[np.ndarray] = None) -> Iterator[SeriesBlock]:
+    """The forest's recorded series as consecutive particle ranges of at most
+    :data:`SERIES_BLOCK_POINTS` points each, in id order. ``starts`` is
+    :func:`series_starts` of the forest, for a caller that holds it."""
+    starts = series_starts(forest) if starts is None else starts
+    lo, n = 0, len(forest)
+    while lo < n:
+        hi = int(np.searchsorted(starts, starts[lo] + SERIES_BLOCK_POINTS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield SeriesBlock(forest, starts, lo, hi)
+        lo = hi
 
 
 def flat_series(forest: Forest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated recorded series (times, positions, segment starts).
+    """Concatenated recorded series (times, positions, segment starts) of the
+    whole forest as one block; ``starts`` has length n+1."""
+    block = SeriesBlock(forest, series_starts(forest), 0, len(forest))
+    return block.times, block.positions, block.starts
 
-    Each particle contributes [birth, grid times..., death]; ``starts`` has
-    length n+1 so particle i owns the slice [starts[i], starts[i+1]).
-    Duplicated endpoints (birth or death exactly on the grid) are harmless:
-    they produce zero-length increments everywhere downstream.
-    """
-    dt = forest.grid.dt
-    k_counts = np.diff(forest.xs_off)
-    lens = k_counts + 2
-    starts = np.concatenate([[0], np.cumsum(lens)])
-    M = int(starts[-1])
-    times = np.empty(M)
-    pos = np.empty(M)
-    first = starts[:-1]
-    last = starts[1:] - 1
-    times[first] = forest.t_birth
-    pos[first] = forest.x_birth
-    times[last] = forest.t_death
-    pos[last] = forest.x_death
-    inner = np.repeat(first + 1, k_counts) + _flat_ranges(k_counts)
-    times[inner] = (np.repeat(forest.grid_lo, k_counts) + _flat_ranges(k_counts)) * dt
-    pos[inner] = forest.xs_flat
-    return times, pos, starts
+
+def recorded_values(forest: Forest, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fn`` (elementwise over an array of times) at every recorded time, as
+    (per-particle birth values, values at the grid times k*dt, per-particle
+    death values), from one call of ``fn``. A birth takes its parent's death
+    value, the same time, so ``fn`` sees only the deaths, the grid and the
+    births of roots."""
+    n = len(forest)
+    parent = forest.parent
+    own = np.flatnonzero((parent < 0) | (forest.t_birth != forest.t_death[parent]))
+    values = fn(np.concatenate([forest.t_death, forest.grid.times(), forest.t_birth[own]]))
+    death = values[:n]
+    birth = death[parent]
+    birth[own] = values[len(values) - len(own) :]
+    return birth, values[n : len(values) - len(own)], death
 
 
 def lineage_sup_abs(forest: Forest, t: float) -> np.ndarray:
     """sup over recorded times <= t of |X| along each particle's lineage."""
-    times, pos, starts = flat_series(forest)
-    vals = np.where(times <= t + 1e-9 * forest.grid.dt, np.abs(pos), -math.inf)
-    return propagate(forest, np.maximum.reduceat(vals, starts[:-1]), np.maximum)
+    own = np.empty(len(forest))
+    cutoff = t + 1e-9 * forest.grid.dt
+    for block in series_blocks(forest):
+        vals = np.where(block.times <= cutoff, np.abs(block.positions), -math.inf)
+        own[block.lo : block.hi] = np.maximum.reduceat(vals, block.starts[:-1])
+    return propagate(forest, own, np.maximum)
 
 
 def _bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn) -> np.ndarray:
@@ -94,13 +158,24 @@ def _bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn) -> np.ndarra
     nearly so for the tube's moving wall over one gap. A ``valid`` segment is
     rejected when the caller's uniform for either side falls below that
     probability.
+
+    The exponent is clipped to [-50, 0] before ``exp``, which is slow on
+    underflow: uniforms are multiples of 2^-53 > e^-50, so below e^-50 only
+    u = 0 can fall under the probability, and those entries get the exact
+    one. A positive exponent means an end outside the tube, masked anyway.
     """
     safe_gap = np.where(valid, gap, 1.0)
     rejected = np.zeros(u_up.shape, dtype=bool)
     for dist, u in ((center + radius - pos, u_up), (pos - (center - radius), u_dn)):
         left, right = dist[..., :-1], dist[..., 1:]
-        p = np.where(valid & (left > 0) & (right > 0), np.exp(-2.0 * left * right / safe_gap), 0.0)
-        rejected |= u < p
+        p = -2.0 * left * right / safe_gap
+        np.exp(np.clip(p, -50.0, 0.0, out=p), out=p)
+        if not u.all():
+            zero = u == 0.0
+            exact = -2.0 * left[zero] * right[zero] / np.broadcast_to(safe_gap, left.shape)[zero]
+            p[zero] = np.exp(np.minimum(exact, 0.0))
+        inside = dist > 0
+        rejected |= (u < p) & inside[..., :-1] & inside[..., 1:]
     return rejected & valid
 
 
@@ -110,39 +185,43 @@ class TubeMembership:
     ``first_exit[i]`` is the earliest recorded time (within [0, theta*T]) at
     which the ancestral trajectory of particle i is not strictly inside the
     tube, or +inf. A particle is in the tube up to time t iff it is alive
-    then and ``first_exit[i] > t``.
+    then and ``first_exit[i] > t``. The recorded series is read one
+    :class:`SeriesBlock` at a time, so beside ``first_exit`` only the tube
+    centre at the grid times, ``center_grid``, is kept.
     """
 
     def __init__(self, forest: Forest, tube: Tube, bridge: bool = False):
         self.forest = forest
         self.tube = tube
         n = len(forest)
-        dt = forest.grid.dt
-        times, pos, starts = flat_series(forest)
-        self.times = times
-        self.positions = pos
-        self.starts = starts
-
-        center = tube.center(np.minimum(times, tube.horizon))
         radius = tube.radius
-        t_end = tube.t_end
-        relevant = times <= t_end + 1e-9 * dt
-        outside = (np.abs(pos - center) >= radius) & relevant
-        exit_vals = np.where(outside, times, math.inf)
-        own = np.minimum.reduceat(exit_vals, starts[:-1]) if n else np.empty(0)
-
+        cutoff = tube.t_end + 1e-9 * forest.grid.dt
+        own = np.empty(n)
+        center = recorded_values(forest, lambda t: tube.center(np.minimum(t, tube.horizon)))
         if bridge:
-            gap = np.diff(times)
-            gap[starts[1:-1] - 1] = -1.0  # inter-particle gaps: not segments
-            valid = (gap > 1e-15) & relevant[1:]
-            # one interleaved (up, down) uniform pair per segment whatever the
-            # data, kept for byte-identical CSVs
-            u = forest.stream.split(BRIDGE_STREAM_TAG).generator().random(2 * len(gap))
-            rejected = _bridge_rejections(center, radius, pos, gap, valid, u[::2], u[1::2])
-            bridge_exits = np.append(np.where(rejected, times[1:], math.inf), math.inf)
-            own = np.minimum(own, np.minimum.reduceat(bridge_exits, starts[:-1]))
+            rng = forest.stream.split(BRIDGE_STREAM_TAG).generator()
+        for block in series_blocks(forest):
+            times, pos, starts = block.times, block.positions, block.starts
+            center_pts = block.spread(center)
+            relevant = times <= cutoff
+            outside = (np.abs(pos - center_pts) >= radius) & relevant
+            exits = np.minimum.reduceat(np.where(outside, times, math.inf), starts[:-1])
+            if bridge:
+                gap = np.diff(times)
+                gap[starts[1:-1] - 1] = -1.0  # inter-particle gaps: not segments
+                valid = (gap > 1e-15) & relevant[1:]
+                # one interleaved (up, down) uniform pair per segment whatever
+                # the data, the joint to the next block's first particle
+                # included, kept for byte-identical CSVs
+                u = rng.random(2 * (len(gap) + (block.hi < n)))
+                rejected = _bridge_rejections(
+                    center_pts, radius, pos, gap, valid, u[0 : 2 * len(gap) : 2], u[1 : 2 * len(gap) : 2]
+                )
+                bridge_exits = np.append(np.where(rejected, times[1:], math.inf), math.inf)
+                exits = np.minimum(exits, np.minimum.reduceat(bridge_exits, starts[:-1]))
+            own[block.lo : block.hi] = exits
         self.first_exit = propagate(forest, own, np.minimum)
-        self.center_flat = center
+        self.center_grid = center[1]
 
     def members_at(self, t: float) -> np.ndarray:
         """Indices of particles alive at recorded time t whose lineage stayed

@@ -170,6 +170,7 @@ class _Builder:
         self.rows = 0
         self.next_pid = 0
         self.capped = False
+        self.ids: Optional[np.ndarray] = None  # the rows' ids once finished
 
     def new_pids(self, n: int) -> int:
         """Reserve n consecutive ids and return the first."""
@@ -196,7 +197,7 @@ class _Builder:
             return
         dt, horizon = self.grid.dt, self.horizon
         inv_r = 1.0 / params.r
-        rows, gens = self.rows, []
+        rows, gens, draws = self.rows, [], []
         b, ids, parent = np.array([b], dtype=np.float64), np.array([pid]), np.array([parent])
         while len(b) and rows < self.cap:
             n = min(len(b), self.cap - rows)
@@ -206,26 +207,32 @@ class _Builder:
             alive = d < horizon
             i0 = np.ceil(b / dt - _IDX_EPS).astype(np.int64)
             k = np.maximum(np.floor(d / dt + _IDX_EPS).astype(np.int64) - i0 + 1, 0)
-            z = rng.standard_normal(n + int(k.sum()))
+            draws.append(rng.standard_normal(n + int(k.sum())))
             n_off = np.full(n, -1, dtype=np.int64)
             n_off[alive] = sample_offspring_many(params.offspring, int(np.count_nonzero(alive)), rng)
-            gens.append((ids, parent, b, d, n_off, i0, k, z, life))
+            gens.append((ids, parent, b, d, n_off, i0, k, life))
             rows += n
             broods = n_off[alive]
             parent = np.repeat(ids[alive], broods)
             b = np.repeat(d[alive], broods)
             first = self.new_pids(len(b))
             ids = np.arange(first, first + len(b))
-        ids, parent, b, d, n_off, i0, k, path, life = (np.concatenate(col) for col in zip(*gens))
+        sizes = [len(g[0]) for g in gens]
+        first_ids = [int(g[0][0]) for g in gens]
+        ids, parent, b, d, n_off, i0, k, life = (np.concatenate(col) for col in zip(*gens))
+        del gens
+        path = np.concatenate(draws)
+        del draws
         # k + 1 increments per particle: birth -> first grid time, grid steps,
-        # last grid time -> death (one increment birth -> death when k = 0)
+        # last grid time -> death (one increment birth -> death when k = 0);
+        # the two end increments are scaled from their own draws, kept aside
         end = np.cumsum(k + 1)
         start, last = end - (k + 1), end - 1
         inner = k > 0
-        scale = np.full(len(path), math.sqrt(dt))
-        scale[start] = np.sqrt(np.where(inner, np.maximum(i0 * dt - b, 0.0), d - b))
-        scale[last[inner]] = np.sqrt(np.maximum(d - (i0 + k - 1) * dt, 0.0)[inner])
-        path *= scale
+        z_start, z_last = path[start], path[last[inner]]
+        path *= math.sqrt(dt)
+        path[start] = z_start * np.sqrt(np.where(inner, np.maximum(i0 * dt - b, 0.0), d - b))
+        path[last[inner]] = z_last * np.sqrt(np.maximum(d - (i0 + k - 1) * dt, 0.0)[inner])
         np.cumsum(path, out=path)
         base = np.zeros(len(b))
         base[1:] = path[last[:-1]]
@@ -235,45 +242,63 @@ class _Builder:
         # id of the parents' generation less that generation's first row
         xb, xd = np.full(len(b), float(x)), path[last]
         lo, shift = 0, 0
-        for g in gens:
-            hi = lo + len(g[0])
+        for size, first_id in zip(sizes, first_ids):
+            hi = lo + size
             if lo:
                 xb[lo:hi] = xd[parent[lo:hi] - shift]
             xd[lo:hi] += xb[lo:hi]
-            lo, shift = hi, g[0][0] - lo
+            lo, shift = hi, first_id - lo
         path += np.repeat(xb, k + 1)
         on_grid = np.ones(len(path), dtype=bool)
         on_grid[last] = False
         self.add_chunk(ids, parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life)
 
     def finish(self, params: ModelParams, stream: RngStream) -> Forest:
+        """The rows as a forest in id order. Ids that were reserved but never
+        grown (a capped replicate) are squeezed out: rows get contiguous ids,
+        ``parent`` follows, and :meth:`rows_of` maps the old ids. A single
+        chunk already in id order is used as it is, without a copy."""
         dtypes = (np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64,
                   np.int64, np.float64, np.int64, np.float64)
-        pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, life = (
-            np.concatenate(col, dtype=t) for col, t in zip(zip(*self.chunks), dtypes)
-        )
-        order = np.argsort(pid, kind="stable")
-        xs_off = np.concatenate([[0], np.cumsum(n_grid[order])])
-        # grid positions follow their rows into id order
-        xs_start = (np.cumsum(n_grid) - n_grid)[order]
-        xs = xs[np.repeat(xs_start - xs_off[:-1], n_grid[order]) + np.arange(len(xs))]
+        if len(self.chunks) == 1:
+            cols = [np.asarray(col, dtype=t) for col, t in zip(self.chunks[0], dtypes)]
+        else:
+            cols = [np.concatenate(col, dtype=t) for col, t in zip(zip(*self.chunks), dtypes)]
+        self.chunks = []
+        pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, life = cols
+        if not np.array_equal(pid, np.arange(len(pid))):
+            order = np.argsort(pid, kind="stable")
+            # grid positions follow their rows into id order
+            xs_start = (np.cumsum(n_grid) - n_grid)[order]
+            pid, parent, b, d, n_off, xb, xd, lo, n_grid, life = (
+                col[order] for col in (pid, parent, b, d, n_off, xb, xd, lo, n_grid, life)
+            )
+            xs_off = np.cumsum(n_grid) - n_grid
+            xs = xs[np.repeat(xs_start - xs_off, n_grid) + np.arange(len(xs))]
+        self.ids = pid
+        if len(pid) and pid[-1] != len(pid) - 1:
+            parent = np.where(parent >= 0, self.rows_of(parent), -1)
         return Forest(
             params=params,
             grid=self.grid,
             horizon=self.horizon,
-            parent=parent[order],
-            t_birth=b[order],
-            t_death=d[order],
-            n_offspring=n_off[order],
-            x_birth=xb[order],
-            x_death=xd[order],
-            grid_lo=lo[order],
+            parent=parent,
+            t_birth=b,
+            t_death=d,
+            n_offspring=n_off,
+            x_birth=xb,
+            x_death=xd,
+            grid_lo=lo,
             xs_flat=xs,
-            xs_off=xs_off,
-            raw_lifetimes=life[order],
+            xs_off=np.concatenate([[0], np.cumsum(n_grid)]),
+            raw_lifetimes=life,
             capped=self.capped,
             stream=stream,
         )
+
+    def rows_of(self, pids) -> np.ndarray:
+        """Rows of the finished forest that hold the given ids."""
+        return np.searchsorted(self.ids, pids)
 
 
 def simulate_forest(

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .counting import TubeMembership
+from .counting import TubeMembership, recorded_values, series_blocks, series_starts
 from .forest import DEFAULT_CAP, Forest, _Builder, propagate
 from .model import ModelParams, RngStream, TimeGrid, sample_offspring, size_biased
 from .paths import SmoothPath, Tube, _abs_linear_integral
@@ -105,61 +105,79 @@ class TubeWeights:
     """Vectorised per-particle stochastic integrals and tube weights.
 
     The running integral I_u is inherited exactly along lineages: a child's
-    integral starts from the parent's value at the branch time.
+    integral starts from the parent's value at the branch time. Per forest it
+    keeps the running sum of the integrand over the flat recorded series
+    (one float per recorded point) and each particle's inherited offset; the
+    increments are formed one :class:`~bbmlab.counting.SeriesBlock` at a time.
     """
 
     def __init__(self, forest: Forest, tube: Tube, membership: Optional[TubeMembership] = None):
         self.forest = forest
         self.tube = tube
         self.membership = membership if membership is not None else TubeMembership(forest, tube)
-        mem = self.membership
         T = tube.horizon
-        fp = tube.path.derivative(np.clip(mem.times / T, 0.0, 1.0))
-        dX = np.diff(mem.positions)
-        dI = fp[:-1] * dX
-        dI[mem.starts[1:-1] - 1] = 0.0  # inter-particle joints are not increments
-        self._cum = np.concatenate([[0.0], np.cumsum(dI)])
-        own_death = self._cum[mem.starts[1:] - 1] - self._cum[mem.starts[:-1]]
+        n = len(forest)
+        starts = series_starts(forest)
+        slope = recorded_values(forest, lambda t: tube.path.derivative(np.clip(t / T, 0.0, 1.0)))
+        cum = np.zeros(int(starts[-1]))
+        for block in series_blocks(forest, starts):
+            # the increments of this block's segments and, unless the block is
+            # the last, the zero of the joint to the next one, which carries
+            # the running sum over: a cumsum over [carry, increments...] gives
+            # the same floats as one cumsum over the whole series
+            s, m = block.first, int(block.starts[-1])
+            end = s + m - (block.hi == n)
+            dI = cum[s + 1 : end + 1]
+            np.multiply(block.spread(slope)[: m - 1], np.diff(block.positions), out=dI[: m - 1])
+            dI[m - 1 :] = 0.0
+            dI[block.starts[1:-1] - 1] = 0.0  # inter-particle joints are not increments
+            # the first sum starts at its first increment, not at 0.0 plus
+            # it, as one cumsum does (0.0 + -0.0 would drop the sign)
+            first = s + 1 if s == 0 else s
+            np.cumsum(cum[first : end + 1], out=cum[first : end + 1])
+        self._cum = cum
+        self._starts = starts
+        own_death = cum[starts[1:] - 1] - cum[starts[:-1]]
         parent = forest.parent
         self._offset = propagate(forest, np.where(parent >= 0, own_death[parent], 0.0), np.add)
         self._lam = math.pi**2 / (8.0 * tube.epsilon**2 * T**2)
         self._a = math.pi / (2.0 * tube.radius)
 
-    def _flat_index(self, pid: int, t: float) -> int:
+    def _point(self, pid: int, t: float) -> tuple[int, float, float]:
+        """Flat index, recorded time and position of particle pid at the
+        recorded time t (its birth, its death or a grid time k*dt)."""
         f = self.forest
         dt = f.grid.dt
-        start = self.membership.starts[pid]
+        start = int(self._starts[pid])
         if abs(t - f.t_birth[pid]) <= _IDX_EPS * dt:
-            return int(start)
+            return start, float(f.t_birth[pid]), float(f.x_birth[pid])
         if abs(t - f.t_death[pid]) <= _IDX_EPS * dt:
-            return int(self.membership.starts[pid + 1] - 1)
+            return int(self._starts[pid + 1] - 1), float(f.t_death[pid]), float(f.x_death[pid])
         k = int(round(t / dt))
         if abs(k * dt - t) <= _IDX_EPS * max(dt, 1.0):
             lo = int(f.grid_lo[pid])
             n_grid = int(f.xs_off[pid + 1] - f.xs_off[pid])
             if lo <= k < lo + n_grid:
-                return int(start + 1 + (k - lo))
+                return start + 1 + (k - lo), k * dt, float(f.xs_flat[f.xs_off[pid] + (k - lo)])
         raise ValueError(f"t={t} is not a recorded time of particle {pid}")
 
     def integral_at(self, pid: int, t: float) -> float:
         """Discrete stochastic integral I_u(t) along the lineage."""
-        j = self._flat_index(pid, t)
-        return float(self._offset[pid] + self._cum[j] - self._cum[self.membership.starts[pid]])
+        j = self._point(pid, t)[0]
+        return float(self._offset[pid] + self._cum[j] - self._cum[self._starts[pid]])
 
     def weight_at(self, pid: int, t: float) -> float:
         """V_u(t); strictly positive iff u is strictly inside the tube at t."""
-        mem = self.membership
-        j = self._flat_index(pid, t)
+        j, time, x = self._point(pid, t)
         T = self.tube.horizon
-        delta = mem.positions[j] - mem.center_flat[j]
-        integral = self._offset[pid] + self._cum[j] - self._cum[mem.starts[pid]]
+        delta = x - self.tube.center(min(time, T))
+        integral = self._offset[pid] + self._cum[j] - self._cum[self._starts[pid]]
         half_energy = T * self.tube.path.energy(min(t / T, 1.0))
         return float(math.exp(self._lam * t) * math.cos(self._a * delta) * math.exp(integral - half_energy))
 
     def martingale_at(self, t: float) -> float:
         """Z(t): tube-confined weighted population, e^{-rmt}-normalised."""
-        mem = self.membership
-        ids = mem.members_at(t)
+        ids = self.membership.members_at(t)
         if len(ids) == 0:
             return 0.0
         f = self.forest
@@ -167,10 +185,10 @@ class TubeWeights:
         k = int(round(t / dt))
         if abs(k * dt - t) > _IDX_EPS * max(dt, 1.0):
             raise ValueError(f"t={t} is not a recorded grid time")
-        idx = mem.starts[ids] + 1 + (k - f.grid_lo[ids])
+        rel = k - f.grid_lo[ids]
         T = self.tube.horizon
-        delta = mem.positions[idx] - mem.center_flat[idx]
-        integral = self._offset[ids] + self._cum[idx] - self._cum[mem.starts[ids]]
+        delta = f.xs_flat[f.xs_off[ids] + rel] - self.membership.center_grid[k]
+        integral = self._offset[ids] + self._cum[self._starts[ids] + 1 + rel] - self._cum[self._starts[ids]]
         half_energy = T * self.tube.path.energy(min(t / T, 1.0))
         v = np.exp(self._lam * t) * np.cos(self._a * delta) * np.exp(integral - half_energy)
         return float(np.sum(v) * math.exp(-self.forest.params.rm * t))
@@ -312,7 +330,7 @@ def simulate_guided(
         t, x = d, xd
     forest = builder.finish(params, stream)
     record = SpineRecord(
-        pids=tuple(pids),
+        pids=tuple(builder.rows_of(pids).tolist()),
         birth_times=tuple(births),
         offspring=tuple(broods),
         gap_draws=tuple(gaps),

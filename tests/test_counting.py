@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bbmlab import counting
 from bbmlab.counting import (
     RoughnessIndeterminate,
     TubeMembership,
@@ -15,8 +17,9 @@ from bbmlab.counting import (
     rough_increment_check,
 )
 from bbmlab.forest import brownian_paths, simulate_forest
-from bbmlab.model import RngStream, TimeGrid
-from bbmlab.paths import GridPath, Tube, TubeFamily
+from bbmlab.model import OffspringLaw, RngStream, TimeGrid
+from bbmlab.paths import GridPath, SmoothPath, Tube, TubeFamily
+from bbmlab.spine import TubeWeights, simulate_guided
 
 from conftest import make_params, synth_forest
 
@@ -210,3 +213,113 @@ def test_brownian_tube_indicator_consistency():
     corrected = brownian_tube_indicator(paths, grid.times(), tube, bridge=True, stream=RngStream(9, (1,)))
     assert np.all(corrected <= raw)
     assert corrected.mean() < raw.mean()
+
+
+# ---------------------------------------------------------------------------
+# the bridge exponent and the blockwise passes over the recorded series
+# ---------------------------------------------------------------------------
+
+
+def reference_bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn):
+    """The bridge rejections with ``exp`` taken of the unclipped exponent."""
+    safe_gap = np.where(valid, gap, 1.0)
+    rejected = np.zeros(u_up.shape, dtype=bool)
+    for dist, u in ((center + radius - pos, u_up), (pos - (center - radius), u_dn)):
+        left, right = dist[..., :-1], dist[..., 1:]
+        with np.errstate(over="ignore"):
+            p = np.where(valid & (left > 0) & (right > 0), np.exp(-2.0 * left * right / safe_gap), 0.0)
+        rejected |= u < p
+    return rejected & valid
+
+
+@pytest.mark.parametrize("replicates", [None, 3])
+def test_clipped_bridge_exponent_is_exact(replicates):
+    rng = np.random.default_rng(51)
+    n, radius = 20000, 1.0
+    shape = (n + 1,) if replicates is None else (replicates, n + 1)
+    center = rng.normal(0.0, 0.1, n + 1)
+    pos = center + rng.uniform(-1.1, 1.1, shape)  # some ends outside the tube
+    # gaps from 1 down to 1e-3 spread the exponent from about -8 to -8000
+    gap = rng.choice([1.0, 0.05, 0.02, 1e-3], n)
+    valid = rng.random(n) < 0.9
+    u_up, u_dn = rng.random((2,) + shape[:-1] + (n,))
+    for u in (u_up, u_dn):
+        # uniforms are multiples of 2^-53: the clip matters only at u = 0
+        u[..., ::37] = 0.0
+        u[..., 5::41] = 2.0**-53
+    got = counting._bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn)
+    want = reference_bridge_rejections(center, radius, pos, gap, valid, u_up, u_dn)
+    assert np.array_equal(got, want)
+    # u = 0 entries below e^-50 both ways: rejected above e^-745, kept below
+    dist = center + radius - pos
+    exponent = -2.0 * dist[..., :-1] * dist[..., 1:] / gap
+    inside = valid & (dist[..., :-1] > 0) & (dist[..., 1:] > 0) & (u_up == 0.0)
+    assert np.any(got & inside & (exponent < -50.0) & (exponent > -745.0))
+    assert np.any(~got & inside & (exponent < -746.0))
+
+
+def test_series_blocks_cover_the_forest_in_order(monkeypatch):
+    forest = simulate_forest(make_params(), TimeGrid(6.0, 120), stream=RngStream(43, (0,)))
+    monkeypatch.setattr(counting, "SERIES_BLOCK_POINTS", 40)
+    blocks = list(counting.series_blocks(forest))
+    starts = counting.series_starts(forest)
+    assert [b.lo for b in blocks] == [0] + [b.hi for b in blocks[:-1]] and blocks[-1].hi == len(forest)
+    for b in blocks:
+        # at most 40 points unless one particle has more; no block could
+        # have taken the next particle too
+        assert starts[b.hi] - starts[b.lo] <= 40 or b.hi - b.lo == 1
+        assert b.hi == len(forest) or starts[b.hi + 1] - starts[b.lo] > 40
+    assert any(starts[b.hi] - starts[b.lo] > 40 for b in blocks)
+    times, pos, whole_starts = counting.flat_series(forest)
+    assert np.concatenate([b.times for b in blocks]).tobytes() == times.tobytes()
+    assert np.concatenate([b.positions for b in blocks]).tobytes() == pos.tobytes()
+    assert whole_starts.tobytes() == starts.tobytes()
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+def test_blockwise_passes_match_one_block(monkeypatch, bridge):
+    grid = TimeGrid(6.0, 120)
+    flat = Tube(SmoothPath.zero(8, "clamped"), 0.5, 1.0, 6.0)
+    curved = Tube(SmoothPath.from_function(lambda s: 0.8 * s * s - 0.3 * s, 8), 0.4, 0.75, 6.0)
+    cases = [
+        (simulate_forest(make_params(), grid, stream=RngStream(44, (rep,))), tube)
+        for rep in range(3)
+        for tube in (flat, curved)
+    ]
+    guided_tube = Tube(SmoothPath.from_function(lambda s: 0.6 * s * s, 8), 0.5, 1.0, 5.0)
+    mixed = make_params(law=OffspringLaw({2: 0.5, 3: 0.5}))
+    wf = simulate_guided(mixed, guided_tube, TimeGrid(5.0, 100), stream=RngStream(45, (0,)))
+    cases.append((wf.forest, guided_tube))
+
+    def outputs(forest, tube):
+        mem = TubeMembership(forest, tube, bridge=bridge)
+        weights = TubeWeights(forest, tube, mem)
+        steps = forest.grid.steps
+        quarters = [weights.martingale_at(k * forest.grid.dt) for k in range(0, steps + 1, steps // 4)]
+        sup = lineage_sup_abs(forest, forest.grid.T / 2)
+        return mem.first_exit, weights._cum, weights._offset, sup, np.array(quarters)
+
+    monkeypatch.setattr(counting, "SERIES_BLOCK_POINTS", 10**9)
+    one_block = [outputs(*case) for case in cases]
+    monkeypatch.setattr(counting, "SERIES_BLOCK_POINTS", 40)
+    for case, want in zip(cases, one_block):
+        assert len(list(counting.series_blocks(case[0]))) > 10
+        for got, expected in zip(outputs(*case), want):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_membership_and_weights_memory_is_bounded_per_point():
+    forest = simulate_forest(make_params(), TimeGrid(10.0, 200), stream=RngStream(3, (0,)))
+    points = len(forest.xs_flat) + 2 * len(forest)
+    assert points >= 500_000
+    tube = Tube(SmoothPath.zero(8, "clamped"), 0.5, 1.0, 10.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the forest: one float per point for the weights' running sum,
+    # plus one block's temporaries
+    assert (peak - before) / points < 40.0

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 from bbmlab.counting import TubeMembership, count_tube
-from bbmlab.forest import _Builder, simulate_forest
+from bbmlab.forest import _Builder, lineage, simulate_forest
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid, size_biased
 from bbmlab.paths import GridPath, SmoothPath, Tube
 from bbmlab.spine import (
@@ -243,6 +243,24 @@ def test_spine_stream_ignores_subtrees(monkeypatch):
     assert len(alone.forest) == len(alone.spine.pids)
     assert alone_record == record
     assert alone_rows == rows
+
+
+def test_capped_guided_forest_has_contiguous_ids():
+    # a capped replicate reserves ids it never grows (siblings past the cap,
+    # the spine's next particle); the rows are renumbered so that parents
+    # precede children and each child starts where its parent died
+    params = make_params(law=MIXED)
+    grid = TimeGrid(5.0, 100)
+    tube = flat_tube(5.0)
+    for rep in range(30):
+        wf = simulate_guided(params, tube, grid, stream=RngStream(7, (rep,)), cap=300)
+        f, pids = wf.forest, wf.spine.pids
+        assert f.capped
+        c = np.flatnonzero(f.parent >= 0)
+        assert np.all(f.parent[c] < c)
+        assert f.t_birth[c].tobytes() == f.t_death[f.parent[c]].tobytes()
+        assert f.x_birth[c].tobytes() == f.x_death[f.parent[c]].tobytes()
+        assert lineage(f, pids[-1]) == list(pids)
 
 
 def test_weights_read_a_given_membership():
