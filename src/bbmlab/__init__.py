@@ -12,7 +12,7 @@ mean growth).
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config
-from .counting import CountReport, count_family, count_tube, growth_curve, in_tube
+from .counting import CountReport, count_family, count_tube, growth_curve
 from .forest import Forest, ParticleRecord, population_at, simulate_forest
 from .model import DYADIC, ModelParams, OffspringLaw, RngStream, TimeGrid, sample_offspring, size_biased
 from .paths import GridPath, SmoothPath, Tube, TubeFamily
@@ -21,8 +21,6 @@ from .spine import (
     SpineRecord,
     WeightedForest,
     additive_martingale,
-    importance_estimate,
-    particle_weight,
     simulate_guided,
     spine_decomposition,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "count_family",
     "count_tube",
     "growth_curve",
-    "in_tube",
     "Forest",
     "ParticleRecord",
     "population_at",
@@ -60,8 +57,6 @@ __all__ = [
     "SpineRecord",
     "WeightedForest",
     "additive_martingale",
-    "importance_estimate",
-    "particle_weight",
     "simulate_guided",
     "spine_decomposition",
 ]

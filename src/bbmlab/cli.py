@@ -61,7 +61,8 @@ def _parser() -> argparse.ArgumentParser:
             "--bridge-correction",
             action="store_true",
             default=None,
-            help="enable the Brownian-bridge boundary-crossing correction",
+            help="enable the Brownian-bridge boundary-crossing correction; it is on by "
+            'default, and `"bridge_correction": false` in a config turns it off',
         )
     return parser
 

@@ -113,7 +113,7 @@ class ExperimentConfig:
     # plumbing
     seed: int = 20260810
     cap: int = 5_000_000
-    bridge_correction: bool = False
+    bridge_correction: bool = True
     out: str = "out"
     tolerances: dict[str, float] = field(default_factory=dict)
 

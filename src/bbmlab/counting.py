@@ -24,7 +24,6 @@ from .paths import Tube, TubeFamily
 __all__ = [
     "TubeMembership",
     "CountReport",
-    "in_tube",
     "count_tube",
     "count_family",
     "growth_curve",
@@ -33,7 +32,6 @@ __all__ = [
     "RoughnessIndeterminate",
     "brownian_tube_indicator",
     "rescaled_lineage",
-    "flat_series",
     "series_starts",
     "series_blocks",
     "SeriesBlock",
@@ -114,13 +112,6 @@ def series_blocks(forest: Forest, starts: Optional[np.ndarray] = None) -> Iterat
         hi = max(hi, lo + 1)
         yield SeriesBlock(forest, starts, lo, hi)
         lo = hi
-
-
-def flat_series(forest: Forest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated recorded series (times, positions, segment starts) of the
-    whole forest as one block; ``starts`` has length n+1."""
-    block = SeriesBlock(forest, series_starts(forest), 0, len(forest))
-    return block.times, block.positions, block.starts
 
 
 def recorded_values(forest: Forest, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,17 +236,6 @@ def _report(count: int, per_tube: tuple[int, ...], forest: Forest, T: float) -> 
     return CountReport(count=count, growth_rate=rate, per_tube=per_tube, capped=forest.capped)
 
 
-def in_tube(forest: Forest, pid: int, tube: Tube, bridge: bool = False) -> bool:
-    """Whole-lineage strict tube membership of one particle up to theta*T."""
-    t_end = tube.t_end
-    if t_end > forest.horizon + 1e-9:
-        raise ValueError("lineage not recorded up to theta*T")
-    if not forest.alive_mask(t_end)[pid]:
-        raise ValueError(f"particle {pid} is not alive at theta*T")
-    mem = TubeMembership(forest, tube, bridge=bridge)
-    return bool(mem.first_exit[pid] > t_end)
-
-
 def count_tube(forest: Forest, tube: Tube, bridge: bool = False) -> CountReport:
     mem = TubeMembership(forest, tube, bridge=bridge)
     c = len(mem.members_at(tube.t_end))
@@ -316,10 +296,11 @@ def growth_curve(
         n_empty = 0
         for rep in range(replicates):
             forest = simulate_forest(params, grid, stream=stream.split(ti, rep), cap=cap)
-            if forest.capped:
+            rep_report = None if forest.capped else count_tube(forest, tube, bridge=bridge)
+            del forest  # not alive while the next replicate is simulated
+            if rep_report is None:
                 n_capped += 1
                 continue
-            rep_report = count_tube(forest, tube, bridge=bridge)
             raw.append((T, rep, rep_report.count, rep_report.growth_rate, int(rep_report.count == 0)))
             if rep_report.count == 0:
                 n_empty += 1

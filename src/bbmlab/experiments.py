@@ -231,12 +231,10 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             z_by_t[t].append(z)
             z_rows.append((rep, t, z))
         if smooth and rep < sweep_reps:
-            rep_fail = 0
             members = mem.members_at(t_end)
-            for pid in members:
-                chk = spine.integral_bound_check(forest, int(pid), t_end, tube, weights)
-                bound_particles += 1
-                rep_fail += 0 if chk.holds else 1
+            chk = spine.integral_bound_check(forest, members, t_end, tube, weights)
+            rep_fail = int(np.count_nonzero(~chk.holds))
+            bound_particles += len(members)
             bound_failures += rep_fail
             z, count, bound, holds = spine.count_bound_check(forest, tube, weights)
             lemma7_failures += 0 if holds else 1
@@ -284,10 +282,8 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             steps_total += wf.spine.n_steps
             clamps_total += wf.spine.n_clamped
             w = wf.weights()
-            for pid in wf.spine.pids:
-                d = min(wf.forest.t_death[pid], t_end)
-                if w.membership.first_exit[pid] <= d:
-                    in_tube_ok = False
+            pids = np.asarray(wf.spine.pids)
+            in_tube_ok &= bool(np.all(w.membership.first_exit[pids] > np.minimum(wf.forest.t_death[pids], t_end)))
             z_q = w.martingale_at(t_end)
             decomp = spine.spine_decomposition(wf, t_end)
             diffs.append(z_q - decomp)

@@ -42,7 +42,6 @@ __all__ = [
     "ParticleRecord",
     "simulate_forest",
     "population_at",
-    "population_size",
     "simulate_population_sizes",
     "brownian_paths",
     "lineage",
@@ -334,14 +333,6 @@ def population_at(forest: Forest, t: float) -> list[tuple[int, float]]:
     pos_idx = forest.xs_off[idx] + (k - forest.grid_lo[idx])
     xs = forest.xs_flat[pos_idx]
     return list(zip(idx.tolist(), xs.tolist()))
-
-
-def population_size(forest: Forest, t: float) -> int:
-    dt = forest.grid.dt
-    k = int(round(t / dt))
-    if abs(k * dt - t) > _IDX_EPS * max(dt, 1.0):
-        raise ValueError(f"t={t} is not a recorded time")
-    return int(np.count_nonzero(forest.alive_mask(k * dt)))
 
 
 def simulate_population_sizes(

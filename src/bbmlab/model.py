@@ -76,9 +76,6 @@ class OffspringLaw:
         """True when the law is a point mass (a single atom)."""
         return len(self.pmf) == 1
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.pmf)
-
 
 DYADIC = OffspringLaw({2: 1.0})
 

@@ -22,6 +22,10 @@ __all__ = ["GridPath", "SmoothPath", "Path", "Tube", "TubeFamily"]
 
 
 def _check_unit_interval(s):
+    if isinstance(s, float):  # one number: the same checks and clip in plain floats, faster
+        if s < -1e-12 or s > 1.0 + 1e-12:
+            raise ValueError("path argument outside [0, 1]")
+        return np.float64(min(max(s, 0.0), 1.0))
     arr = np.asarray(s, dtype=np.float64)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("path argument outside [0, 1]")

@@ -15,11 +15,12 @@ The per-particle weight is
              * exp(I_u(t) - (1/2) int_0^t f'(s/T)^2 ds),
 
 with I_u the stochastic integral of f'(s/T) along the lineage, discretised as
-a left-endpoint sum over recorded increments, and the mean-one martingale is
-Z(t) = sum of V_u(t) e^{-rmt} over particles whose whole lineage stayed
-strictly inside the tube. Every inequality check below carries an explicit
-slack that provably covers the discretisation of I (Abel summation over the
-recorded skeleton), so a check can only fail for substantive reasons.
+a left-endpoint sum over recorded increments. V is written once, in
+:meth:`TubeWeights.values_at`; the mean-one martingale is Z(t) = sum of
+V_u(t) e^{-rmt} over particles whose whole lineage stayed strictly inside the
+tube. Every inequality check below carries an explicit slack that provably
+covers the discretisation of I (Abel summation over the recorded skeleton),
+so a check can only fail for substantive reasons.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "TubeWeights",
     "IntegrationError",
     "simulate_guided",
-    "particle_weight",
     "additive_martingale",
     "spine_decomposition",
     "BoundCheck",
@@ -50,7 +50,6 @@ __all__ = [
     "envelope_eta",
     "envelope_check",
     "ImportanceResult",
-    "importance_estimate",
     "importance_estimates",
 ]
 
@@ -137,83 +136,76 @@ class TubeWeights:
             np.cumsum(cum[first : end + 1], out=cum[first : end + 1])
         self._cum = cum
         self._starts = starts
+        self._n_grid = np.diff(forest.xs_off).view(np.uint64)
         own_death = cum[starts[1:] - 1] - cum[starts[:-1]]
         parent = forest.parent
         self._offset = propagate(forest, np.where(parent >= 0, own_death[parent], 0.0), np.add)
         self._lam = math.pi**2 / (8.0 * tube.epsilon**2 * T**2)
         self._a = math.pi / (2.0 * tube.radius)
 
-    def _point(self, pid: int, t: float) -> tuple[int, float, float]:
-        """Flat index, recorded time and position of particle pid at the
-        recorded time t (its birth, its death or a grid time k*dt)."""
+    def _recorded(self, ids, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """I_u(t), X_u(t) and the tube centre for each particle u in ids at its
+        time in t, which must be a recorded time of u: a grid time k*dt it
+        has a position at, else its birth or its death."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if not len(ids):
+            return np.zeros(0), np.zeros(0), np.zeros(0)
         f = self.forest
         dt = f.grid.dt
-        start = int(self._starts[pid])
-        if abs(t - f.t_birth[pid]) <= _IDX_EPS * dt:
-            return start, float(f.t_birth[pid]), float(f.x_birth[pid])
-        if abs(t - f.t_death[pid]) <= _IDX_EPS * dt:
-            return int(self._starts[pid + 1] - 1), float(f.t_death[pid]), float(f.x_death[pid])
-        k = int(round(t / dt))
-        if abs(k * dt - t) <= _IDX_EPS * max(dt, 1.0):
-            lo = int(f.grid_lo[pid])
-            n_grid = int(f.xs_off[pid + 1] - f.xs_off[pid])
-            if lo <= k < lo + n_grid:
-                return start + 1 + (k - lo), k * dt, float(f.xs_flat[f.xs_off[pid] + (k - lo)])
-        raise ValueError(f"t={t} is not a recorded time of particle {pid}")
+        if isinstance(t, float):
+            k = round(t / dt)
+        else:
+            t = np.asarray(t, dtype=np.float64)
+            k = np.rint(t / dt).astype(np.int64)
+        off, rel, start = f.xs_off[ids], k - f.grid_lo[ids], self._starts[ids]
+        # 0 <= rel < the particle's number of grid points, in one unsigned compare
+        on = (rel.view(np.uint64) < self._n_grid[ids]) & (abs(k * dt - t) <= _IDX_EPS * max(dt, 1.0))
+        j = start + 1 + rel
+        if on.all():
+            x, centre = f.xs_flat[off + rel], self.membership.center_grid[k]
+        else:  # the others must be at their birth or death
+            t, off_grid = np.broadcast_to(t, ids.shape), ~on
+            u, tu = ids[off_grid], t[off_grid]
+            birth = abs(tu - f.t_birth[u]) <= _IDX_EPS * dt
+            bad = ~birth & (abs(tu - f.t_death[u]) > _IDX_EPS * dt)
+            if bad.any():
+                raise ValueError(f"t={tu[bad][0]} is not a recorded time of particle {u[bad][0]}")
+            j[off_grid] = np.where(birth, start[off_grid], self._starts[u + 1] - 1)
+            x = f.xs_flat[np.where(on, off + rel, 0)]
+            x[off_grid] = np.where(birth, f.x_birth[u], f.x_death[u])
+            centre = self.membership.center_grid[np.where(on, k, 0)]
+            time = np.where(birth, f.t_birth[u], f.t_death[u])
+            centre[off_grid] = self.tube.center(np.minimum(time, self.tube.horizon))
+        return self._offset[ids] + self._cum[j] - self._cum[start], x, centre
 
-    def integral_at(self, pid: int, t: float) -> float:
-        """Discrete stochastic integral I_u(t) along the lineage."""
-        j = self._point(pid, t)[0]
-        return float(self._offset[pid] + self._cum[j] - self._cum[self._starts[pid]])
+    def integral_at(self, ids, t) -> np.ndarray:
+        """Discrete stochastic integral I_u(t) along the lineage of each
+        particle u in ids (see :meth:`values_at` for t)."""
+        return self._recorded(ids, t)[0]
 
-    def weight_at(self, pid: int, t: float) -> float:
-        """V_u(t); strictly positive iff u is strictly inside the tube at t."""
-        j, time, x = self._point(pid, t)
+    def values_at(self, ids, t) -> np.ndarray:
+        """V_u(t) for each particle u in ids, strictly positive iff u is
+        strictly inside the tube at t. ``t`` is one time or one time per id;
+        each must be a recorded time of its particle (its birth, a grid time
+        or its death), else ``ValueError``."""
         T = self.tube.horizon
-        delta = x - self.tube.center(min(time, T))
-        integral = self._offset[pid] + self._cum[j] - self._cum[self._starts[pid]]
-        half_energy = T * self.tube.path.energy(min(t / T, 1.0))
-        return float(math.exp(self._lam * t) * math.cos(self._a * delta) * math.exp(integral - half_energy))
+        energy = lambda s: T * self.tube.path.energy(min(s / T, 1.0))
+        t = np.asarray(t, dtype=np.float64)
+        t = t if t.ndim else float(t)
+        half_energy = energy(t) if isinstance(t, float) else np.array([energy(s) for s in t.tolist()])
+        integral, x, centre = self._recorded(ids, t)
+        return np.exp(self._lam * t) * np.cos(self._a * (x - centre)) * np.exp(integral - half_energy)
 
     def martingale_at(self, t: float) -> float:
         """Z(t): tube-confined weighted population, e^{-rmt}-normalised."""
-        ids = self.membership.members_at(t)
-        if len(ids) == 0:
-            return 0.0
-        f = self.forest
-        dt = f.grid.dt
-        k = int(round(t / dt))
-        if abs(k * dt - t) > _IDX_EPS * max(dt, 1.0):
-            raise ValueError(f"t={t} is not a recorded grid time")
-        rel = k - f.grid_lo[ids]
-        T = self.tube.horizon
-        delta = f.xs_flat[f.xs_off[ids] + rel] - self.membership.center_grid[k]
-        integral = self._offset[ids] + self._cum[self._starts[ids] + 1 + rel] - self._cum[self._starts[ids]]
-        half_energy = T * self.tube.path.energy(min(t / T, 1.0))
-        v = np.exp(self._lam * t) * np.cos(self._a * delta) * np.exp(integral - half_energy)
+        v = self.values_at(self.membership.members_at(t), t)
         return float(np.sum(v) * math.exp(-self.forest.params.rm * t))
 
 
-def particle_weight(forest: Forest, pid: int, t: float, tube: Tube, weights: Optional[TubeWeights] = None) -> float:
-    """V weight of one particle alive at recorded time t."""
-    if not forest.alive_mask(t)[pid]:
-        raise ValueError(f"particle {pid} is not alive at t={t}")
-    w = weights if weights is not None else TubeWeights(forest, tube)
-    return w.weight_at(pid, t)
-
-
-def additive_martingale(
-    forest: Forest,
-    t: float,
-    tube: Tube,
-    weights: Optional[TubeWeights] = None,
-    bridge: bool = False,
-) -> float:
+def additive_martingale(forest: Forest, t: float, tube: Tube, bridge: bool = False) -> float:
     """Z(t) over the strictly-in-tube population (mean one under the natural
     law for t <= theta*T)."""
-    if weights is None:
-        weights = TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge))
-    return weights.martingale_at(t)
+    return TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge)).martingale_at(t)
 
 
 def _advance(path, T, eps_T, rng, t0, x0, t1, h_base, stats):
@@ -347,31 +339,26 @@ def spine_decomposition(wf: WeightedForest, t: float) -> float:
         sum over spine branches S_u <= t of (A_u - 1) V(S_u) e^{-rm S_u}
         plus V_spine(t) e^{-rm t}.
     """
-    weights = wf.weights()
-    rm = wf.forest.params.rm
-    total = 0.0
-    for pid, s_u, a_u in zip(wf.spine.pids, wf.spine.birth_times, wf.spine.offspring):
-        if s_u > t:
-            break
-        total += (a_u - 1) * weights.weight_at(pid, s_u) * math.exp(-rm * s_u)
-    alive = [
-        p
-        for p in wf.spine.pids
-        if wf.forest.t_birth[p] <= t
-        and (t < wf.forest.t_death[p] or (wf.forest.n_offspring[p] == -1 and t <= wf.forest.t_death[p]))
-    ]
-    if not alive:
+    f, s = wf.forest, wf.spine
+    pids = np.asarray(s.pids)
+    alive = pids[f.alive_mask(t)[pids]]
+    if not len(alive):
         raise ValueError(f"no spine particle alive at t={t}")
-    total += weights.weight_at(alive[0], t) * math.exp(-rm * t)
-    return total
+    n = int(np.searchsorted(s.birth_times, t, side="right"))
+    times = np.append(s.birth_times[:n], t)
+    factor = np.append(np.asarray(s.offspring[:n]) - 1.0, 1.0)
+    v = wf.weights().values_at(np.append(pids[:n], alive[0]), times)
+    return float(np.sum(factor * v * np.exp(-f.params.rm * times)))
 
 
 @dataclass(frozen=True)
 class BoundCheck:
-    lhs: float
+    """lhs <= rhs up to slack; ``lhs`` and ``holds`` have one entry per particle."""
+
+    lhs: float | np.ndarray
     rhs: float
     slack: float
-    holds: bool
+    holds: bool | np.ndarray
 
 
 def _integral_slack(path: SmoothPath, sigma: float, max_gap: float) -> float:
@@ -383,9 +370,9 @@ def _integral_slack(path: SmoothPath, sigma: float, max_gap: float) -> float:
 
 
 def integral_bound_check(
-    forest: Forest, pid: int, t: float, tube: Tube, weights: Optional[TubeWeights] = None
+    forest: Forest, ids, t: float, tube: Tube, weights: Optional[TubeWeights] = None
 ) -> BoundCheck:
-    """Check the pathwise deviation bound for an in-tube particle:
+    """Check the pathwise deviation bound for the in-tube particles ids:
 
         |I_u(t) - int_0^t f'(s/T)^2 ds|
             <= 2 eps T int_0^{t/T} |f''| + eps T |f'(0)|  (+ slack).
@@ -394,11 +381,13 @@ def integral_bound_check(
     if not isinstance(path, SmoothPath):
         raise TypeError("the curvature bound needs a SmoothPath")
     w = weights if weights is not None else TubeWeights(forest, tube)
-    if not (w.membership.first_exit[pid] > t):
-        raise ValueError(f"particle {pid} is not in the tube up to t={t}")
+    ids = np.asarray(ids, dtype=np.intp)
+    outside = ids[~(w.membership.first_exit[ids] > t)]
+    if len(outside):
+        raise ValueError(f"particle {outside[0]} is not in the tube up to t={t}")
     T = tube.horizon
     sigma = min(t / T, 1.0)
-    lhs = abs(w.integral_at(pid, t) - 2.0 * T * path.energy(sigma))
+    lhs = np.abs(w.integral_at(ids, t) - 2.0 * T * path.energy(sigma))
     rhs = 2.0 * tube.radius * path.abs_curvature(sigma) + tube.radius * abs(path.derivative(0.0))
     slack = _integral_slack(path, sigma, forest.grid.dt)
     return BoundCheck(lhs, rhs, slack, holds=lhs <= rhs + slack + 1e-9)
@@ -563,8 +552,3 @@ def importance_estimates(
         results.append(ImportanceResult(estimate=est, se=se, n=len(arr), n_capped=n_capped))
     return results
 
-
-def importance_estimate(functional: Callable[[Forest], float], *args, **kwargs) -> ImportanceResult:
-    """Guided-law average of functional/Z(t) for one forest functional; the
-    other arguments are those of :func:`importance_estimates`."""
-    return importance_estimates([lambda mem: functional(mem.forest)], *args, **kwargs)[0]

@@ -35,7 +35,7 @@ from bbmlab.spine import (
     count_bound_check,
     envelope_check,
     envelope_eta,
-    importance_estimate,
+    importance_estimates,
     integral_bound_check,
     simulate_guided,
 )
@@ -180,9 +180,12 @@ def test_criterion_05_cross_measure():
     direct = np.asarray(direct)
     d_mean = direct.mean()
     d_se = direct.std(ddof=1) / math.sqrt(len(direct))
-    imp = importance_estimate(
-        counter, params, tube, grid, 2000, stream=RngStream(20260810, (5, 1)), bridge=True
-    )
+    # the guided side counts the members of the membership that gives Z,
+    # which draws the same bridge uniforms as count_tube
+    imp = importance_estimates(
+        [lambda mem: float(len(mem.members_at(tube.t_end)))],
+        params, tube, grid, 2000, stream=RngStream(20260810, (5, 1)), bridge=True,
+    )[0]
     bm = brownian_paths(grid, T, 20_000, RngStream(20260810, (5, 2)))
     ind = brownian_tube_indicator(bm, grid.times(), tube, bridge=True, stream=RngStream(20260810, (5, 3)))
     oracle = math.exp(params.rm * T) * ind.mean()
@@ -356,10 +359,9 @@ def test_criterion_08_pathwise_inequalities():
         weights = TubeWeights(forest, tube, mem)
         z, count, bound, holds = count_bound_check(forest, tube, weights)
         lemma7_ok &= holds
-        for pid in mem.members_at(tube.t_end):
-            chk = integral_bound_check(forest, int(pid), tube.t_end, tube, weights)
-            bound_ok &= chk.holds
-            n_particles += 1
+        chk = integral_bound_check(forest, mem.members_at(tube.t_end), tube.t_end, tube, weights)
+        bound_ok &= bool(chk.holds.all())
+        n_particles += len(chk.holds)
 
     eps_env = 0.25
     env_tube = Tube(parab, eps_env, 1.0, 6.0)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from bbmlab.cli import main
+from bbmlab.config import ExperimentConfig
 
 
 def write_cfg(tmp_path, **over):
@@ -69,6 +70,18 @@ def test_cli_overrides(tmp_path, capsys):
     assert main(["pgf", "--config", str(cfg), "--seed", "7", "--out", str(out2)]) == 0
     summary = json.loads((out2 / "summary.json").read_text())
     assert summary["config"]["seed"] == 7
+
+
+def test_bridge_correction_defaults_on_and_a_config_turns_it_off(tmp_path, capsys):
+    assert ExperimentConfig().bridge_correction is True
+    with pytest.raises(SystemExit):
+        main(["pgf", "--help"])
+    assert '`"bridge_correction": false` in a config turns it off' in " ".join(capsys.readouterr().out.split())
+    cfg = write_cfg(tmp_path, bridge_correction=False)
+    for flags, on in (([], False), (["--bridge-correction"], True)):
+        assert main(["pgf", "--config", str(cfg), *flags]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["bridge_correction"] is on
 
 
 def test_cli_failure_exit_code(tmp_path, capsys):

@@ -11,7 +11,6 @@ from bbmlab.counting import (
     brownian_tube_indicator,
     count_family,
     count_tube,
-    in_tube,
     lineage_sup_abs,
     rescaled_lineage,
     rough_increment_check,
@@ -28,17 +27,22 @@ def flat_tube(eps, theta=1.0, T=1.0):
     return Tube(GridPath.zero(4), eps, theta, T)
 
 
+def stays_in(forest, pid, tube):
+    """Whole-lineage strict membership of one particle up to theta*T."""
+    return TubeMembership(forest, tube).first_exit[pid] > tube.t_end
+
+
 def test_single_stationary_particle():
     params = make_params()
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = flat_tube(0.5)
-    assert in_tube(forest, 0, tube)
+    assert stays_in(forest, 0, tube)
     rep = count_tube(forest, tube)
     assert rep.count == 1
     assert rep.growth_rate == pytest.approx(0.0)
     # enormous radius swallows anything
-    assert in_tube(forest, 0, flat_tube(1e6))
+    assert stays_in(forest, 0, flat_tube(1e6))
 
 
 def test_boundary_contact_is_outside():
@@ -47,12 +51,12 @@ def test_boundary_contact_is_outside():
     # touches the wall +eps*T exactly at one recorded time: strict inequality fails
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.5 if t == 0.5 else 0.0)])
     tube = flat_tube(0.5)
-    assert not in_tube(forest, 0, tube)
+    assert not stays_in(forest, 0, tube)
     assert count_tube(forest, tube).count == 0
     assert count_tube(forest, tube).growth_rate == -math.inf
     # just inside passes
     forest2 = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.4999 if t == 0.5 else 0.0)])
-    assert in_tube(forest2, 0, tube)
+    assert stays_in(forest2, 0, tube)
 
 
 def test_membership_covers_whole_lineage():
@@ -78,7 +82,7 @@ def test_theta_limits_membership_window():
     # excursion after theta*T must not matter
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0 if t <= 0.5 else 99.0)])
     tube = Tube(GridPath.zero(4), 0.5, 0.5, 1.0)
-    assert in_tube(forest, 0, tube)
+    assert stays_in(forest, 0, tube)
     assert count_tube(forest, tube).count == 1
 
 
@@ -159,8 +163,11 @@ def test_in_tube_requires_recorded_lineage():
     params = make_params()
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 0.5, 2, lambda t: 0.0)])
-    with pytest.raises(ValueError):
-        in_tube(forest, 0, flat_tube(0.5))  # dead before theta*T
+    # the lineage never left, but the particle is dead before theta*T, so it
+    # is no member there
+    mem = TubeMembership(forest, flat_tube(0.5))
+    assert mem.first_exit[0] == math.inf
+    assert len(mem.members_at(1.0)) == 0 and count_tube(forest, flat_tube(0.5)).count == 0
 
 
 def test_rough_increment_examples():
@@ -270,10 +277,10 @@ def test_series_blocks_cover_the_forest_in_order(monkeypatch):
         assert starts[b.hi] - starts[b.lo] <= 40 or b.hi - b.lo == 1
         assert b.hi == len(forest) or starts[b.hi + 1] - starts[b.lo] > 40
     assert any(starts[b.hi] - starts[b.lo] > 40 for b in blocks)
-    times, pos, whole_starts = counting.flat_series(forest)
-    assert np.concatenate([b.times for b in blocks]).tobytes() == times.tobytes()
-    assert np.concatenate([b.positions for b in blocks]).tobytes() == pos.tobytes()
-    assert whole_starts.tobytes() == starts.tobytes()
+    whole = counting.SeriesBlock(forest, starts, 0, len(forest))
+    assert np.concatenate([b.times for b in blocks]).tobytes() == whole.times.tobytes()
+    assert np.concatenate([b.positions for b in blocks]).tobytes() == whole.positions.tobytes()
+    assert whole.starts.tobytes() == starts.tobytes()
 
 
 @pytest.mark.parametrize("bridge", [False, True])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from bbmlab import counting, spine
-from bbmlab.counting import flat_series
 from bbmlab.forest import (
     Forest,
     brownian_paths,
@@ -16,7 +15,6 @@ from bbmlab.forest import (
     lineage,
     lineage_grid_positions,
     population_at,
-    population_size,
     propagate,
     simulate_forest,
     simulate_population_sizes,
@@ -25,6 +23,11 @@ from bbmlab.model import OffspringLaw, RngStream, TimeGrid
 from bbmlab.paths import SmoothPath, Tube
 
 from conftest import make_params
+
+
+def census(forest, t):
+    """|N(t)|, as the runners count it."""
+    return int(np.count_nonzero(forest.alive_mask(t)))
 
 
 def test_zero_horizon_single_particle(dyadic_params):
@@ -44,11 +47,11 @@ def test_population_census_semantics(dyadic_params, grid6):
     # before the first branch there is still exactly one particle
     first_branch = forest.t_death[0]
     t = math.floor(first_branch / grid6.dt) * grid6.dt
-    assert population_size(forest, t) == 1
+    assert census(forest, t) == 1
     # dyadic counting identity: each branch before t adds exactly one particle
     for t in (2.0, 4.0, 6.0):
         branches = np.sum((forest.n_offspring == 2) & (forest.t_death <= t))
-        assert population_size(forest, t) == 1 + branches
+        assert census(forest, t) == 1 + branches
     with pytest.raises(ValueError):
         population_at(forest, 1.512)
 
@@ -91,7 +94,7 @@ def test_population_martingale_constant_mean(dyadic_params):
     for rep in range(400):
         forest = simulate_forest(dyadic_params, grid, stream=RngStream(5, (rep,)))
         for t in ts:
-            vals[t].append(population_size(forest, t) * math.exp(-dyadic_params.rm * t))
+            vals[t].append(census(forest, t) * math.exp(-dyadic_params.rm * t))
     for t1, t2 in ((1.0, 2.0), (2.0, 3.0), (1.0, 3.0)):
         diff = np.array(vals[t2]) - np.array(vals[t1])
         se = diff.std(ddof=1) / math.sqrt(len(diff))
@@ -102,7 +105,7 @@ def test_mean_population_matches_growth(dyadic_params):
     # E|N(t)| = e^{rmt}; exercised at t=5 where the mean is ~148.4
     grid = TimeGrid(5.0, 100)
     counts = [
-        population_size(simulate_forest(dyadic_params, grid, stream=RngStream(6, (rep,))), 5.0)
+        census(simulate_forest(dyadic_params, grid, stream=RngStream(6, (rep,))), 5.0)
         for rep in range(1500)
     ]
     arr = np.array(counts, dtype=float)
@@ -114,7 +117,8 @@ def test_standardised_increments_are_gaussian(dyadic_params, grid6):
     zs = []
     for rep in range(25):
         forest = simulate_forest(dyadic_params, grid6, stream=RngStream(7, (rep,)))
-        times, pos, starts = flat_series(forest)
+        block = counting.SeriesBlock(forest, counting.series_starts(forest), 0, len(forest))
+        times, pos, starts = block.times, block.positions, block.starts
         dt = np.diff(times)
         dx = np.diff(pos)
         keep = np.ones(len(dt), dtype=bool)
@@ -189,7 +193,7 @@ def test_full_forest_generating_function(dyadic_params):
     # E[0.5^{|N(2)|}] has the closed form 1/(1+e^2) for dyadic branching
     grid = TimeGrid(2.0, 40)
     vals = [
-        0.5 ** population_size(simulate_forest(dyadic_params, grid, stream=RngStream(14, (rep,))), 2.0)
+        0.5 ** census(simulate_forest(dyadic_params, grid, stream=RngStream(14, (rep,))), 2.0)
         for rep in range(2500)
     ]
     arr = np.array(vals)

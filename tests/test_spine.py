@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from bbmlab.counting import TubeMembership, count_tube
@@ -15,9 +17,8 @@ from bbmlab.spine import (
     count_bound_check,
     envelope_check,
     envelope_eta,
-    importance_estimate,
+    importance_estimates,
     integral_bound_check,
-    particle_weight,
     simulate_guided,
     spine_decomposition,
 )
@@ -42,9 +43,8 @@ def test_weight_of_centred_particle():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = flat_tube(1.0)
     lam = math.pi**2 / (8.0 * 0.25)
-    assert particle_weight(forest, 0, 0.0, tube) == pytest.approx(1.0)
-    assert particle_weight(forest, 0, 0.5, tube) == pytest.approx(math.exp(lam * 0.5))
-    assert particle_weight(forest, 0, 1.0, tube) == pytest.approx(math.exp(lam))
+    v = TubeWeights(forest, tube).values_at([0, 0, 0], [0.0, 0.5, 1.0])
+    assert v == pytest.approx([1.0, math.exp(lam * 0.5), math.exp(lam)])
 
 
 def test_weight_vanishes_on_the_wall():
@@ -52,8 +52,8 @@ def test_weight_vanishes_on_the_wall():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.5 if t >= 0.5 else 0.0)])
     tube = flat_tube(1.0)
-    w = particle_weight(forest, 0, 0.5, tube)
-    assert abs(w) < 1e-12
+    w = TubeWeights(forest, tube).values_at([0], 0.5)
+    assert abs(w[0]) < 1e-12
 
 
 def test_weight_requires_living_particle():
@@ -61,7 +61,7 @@ def test_weight_requires_living_particle():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 0.5, 2, lambda t: 0.0)])
     with pytest.raises(ValueError):
-        particle_weight(forest, 0, 0.7, flat_tube(1.0))
+        TubeWeights(forest, flat_tube(1.0)).values_at([0], 0.7)
 
 
 def test_martingale_trivial_cases():
@@ -88,10 +88,9 @@ def test_stochastic_integral_inherited_along_lineage():
     ]
     forest = synth_forest(params, grid, specs)
     w = TubeWeights(forest, tube)
-    # I(t) = sum f' dX = X(t) here, since f' == 1
-    assert w.integral_at(0, 0.5) == pytest.approx(1.0)
-    assert w.integral_at(1, 1.0) == pytest.approx(1.0)  # parent's value, then flat
-    assert w.integral_at(2, 1.0) == pytest.approx(1.5)
+    # I(t) = sum f' dX = X(t) here, since f' == 1; particle 1 keeps its
+    # parent's value, then stays flat
+    assert w.integral_at([0, 1, 2], [0.5, 1.0, 1.0]) == pytest.approx([1.0, 1.0, 1.5])
 
 
 def test_martingale_is_exactly_one_at_time_zero():
@@ -118,6 +117,115 @@ def test_martingale_mean_one_small():
     arr = np.array(zs)
     se = arr.std(ddof=1) / math.sqrt(len(arr))
     assert abs(arr.mean() - 1.0) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# the one weight formula: TubeWeights.values_at
+# ---------------------------------------------------------------------------
+
+
+def reference_point(w, pid, t):
+    """Flat series index, recorded time and position of particle pid at t,
+    looked up one particle at a time: its birth, else its death, else the
+    grid time t."""
+    f = w.forest
+    dt = f.grid.dt
+    start = int(w._starts[pid])
+    if abs(t - f.t_birth[pid]) <= 1e-9 * dt:
+        return start, float(f.t_birth[pid]), float(f.x_birth[pid])
+    if abs(t - f.t_death[pid]) <= 1e-9 * dt:
+        return int(w._starts[pid + 1] - 1), float(f.t_death[pid]), float(f.x_death[pid])
+    k, lo = int(round(t / dt)), int(f.grid_lo[pid])
+    assert abs(k * dt - t) <= 1e-9 * max(dt, 1.0) and 0 <= k - lo < f.xs_off[pid + 1] - f.xs_off[pid]
+    return start + 1 + (k - lo), k * dt, float(f.xs_flat[f.xs_off[pid] + (k - lo)])
+
+
+def reference_integral(w, pid, t):
+    j = reference_point(w, pid, t)[0]
+    return float(w._offset[pid] + w._cum[j] - w._cum[w._starts[pid]])
+
+
+def reference_weight(w, pid, t):
+    """V_u(t) from scalars with math.exp and math.cos."""
+    j, time, x = reference_point(w, pid, t)
+    T = w.tube.horizon
+    delta = x - w.tube.center(min(time, T))
+    integral = w._offset[pid] + w._cum[j] - w._cum[w._starts[pid]]
+    half_energy = T * w.tube.path.energy(min(t / T, 1.0))
+    return float(math.exp(w._lam * t) * math.cos(w._a * delta) * math.exp(integral - half_energy))
+
+
+def recorded_times(forest, pid):
+    lo, n = int(forest.grid_lo[pid]), int(forest.xs_off[pid + 1] - forest.xs_off[pid])
+    grid = [k * forest.grid.dt for k in range(lo, lo + n)]
+    return [float(forest.t_birth[pid])] + grid + [float(forest.t_death[pid])]
+
+
+CURVED = SmoothPath.from_function(lambda s: 0.8 * s * s - 0.3 * s, 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["natural", "curved", "guided"]),
+    seed=st.integers(0, 10**6),
+    T=st.sampled_from([2.0, 3.0, 4.0]),
+    bridge=st.booleans(),
+)
+def test_values_at_is_the_one_weight_formula(kind, seed, T, bridge):
+    params = make_params(law=MIXED)
+    grid = TimeGrid(T, int(20 * T))
+    tube = flat_tube(T) if kind == "natural" else Tube(CURVED, 0.5, 1.0, T)
+    if kind == "guided":
+        forest = simulate_guided(params, tube, grid, stream=RngStream(46, (seed,))).forest
+    else:
+        forest = simulate_forest(params, grid, stream=RngStream(46, (seed,)))
+    w = TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge))
+    # Z is the sum of V over the members, e^{-rmt}-normalised, bit for bit
+    for k in range(0, grid.steps + 1, grid.steps // 4):
+        t = k * grid.dt
+        v = w.values_at(w.membership.members_at(t), t)
+        assert w.martingale_at(t) == float(v.sum() * math.exp(-params.rm * t))
+    # at births, grid times and deaths V matches the scalar formula
+    rng = np.random.default_rng(seed)
+    pids = rng.choice(len(forest), size=min(len(forest), 25), replace=False)
+    ids = [int(p) for p in pids for _ in recorded_times(forest, p)]
+    times = [t for p in pids for t in recorded_times(forest, p)]
+    want = [reference_weight(w, p, t) for p, t in zip(ids, times)]
+    assert w.values_at(ids, times) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # a child's V at its birth is its parent's V at its death
+    c = np.flatnonzero(forest.parent >= 0)
+    p = forest.parent[c]
+    assert w.values_at(c, forest.t_birth[c]) == pytest.approx(w.values_at(p, forest.t_death[p]), rel=1e-12)
+    # a time the particle did not record raises, alone or among good ones
+    pid = int(pids[0])
+    rec = recorded_times(forest, pid)
+    gap = int(np.argmax(np.diff(rec)))
+    if rec[gap + 1] - rec[gap] > 1e-6 * grid.dt:
+        t_bad = 0.5 * (rec[gap] + rec[gap + 1])
+        with pytest.raises(ValueError):
+            w.values_at([pid], t_bad)
+        with pytest.raises(ValueError):
+            w.values_at([pid, pid], [rec[0], t_bad])
+
+
+def test_integral_bound_check_array_matches_per_id_loop():
+    params = make_params()
+    grid = TimeGrid(4.0, 80)
+    parab = SmoothPath.from_function(lambda s: 0.4 * s * s, 16, boundary="clamped")
+    tube = Tube(parab, 0.5, 1.0, 4.0)
+    checked = 0
+    for rep in range(8):
+        forest = simulate_forest(params, grid, stream=RngStream(47, (rep,)))
+        w = TubeWeights(forest, tube)
+        for t in (3.0, 4.0):
+            members = w.membership.members_at(t)
+            chk = integral_bound_check(forest, members, t, tube, w)
+            energy = 2.0 * 4.0 * parab.energy(t / 4.0)
+            want = np.array([abs(reference_integral(w, int(p), t) - energy) for p in members])
+            assert chk.lhs.tobytes() == want.tobytes()
+            assert chk.holds.tobytes() == (want <= chk.rhs + chk.slack + 1e-9).tobytes()
+            checked += len(members)
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +394,7 @@ def test_decomposition_before_first_branch():
     first = wf.spine.birth_times[0]
     t = math.floor(first / grid.dt) * grid.dt  # recorded time before any branch
     w = wf.weights()
-    expected = w.weight_at(0, t) * math.exp(-params.rm * t)
+    expected = w.values_at([0], t)[0] * math.exp(-params.rm * t)
     assert spine_decomposition(wf, t) == pytest.approx(expected)
 
 
@@ -302,9 +410,9 @@ def test_decomposition_dyadic_summands():
         if s_u > t:
             break
         assert a_u == 2  # dyadic: every summand weight is exactly V e^{-rm S}
-        total += w.weight_at(pid, s_u) * math.exp(-params.rm * s_u)
+        total += w.values_at([pid], s_u)[0] * math.exp(-params.rm * s_u)
     alive = [p for p in wf.spine.pids if wf.forest.alive_mask(t)[p]]
-    total += w.weight_at(alive[0], t) * math.exp(-params.rm * t)
+    total += w.values_at([alive[0]], t)[0] * math.exp(-params.rm * t)
     assert spine_decomposition(wf, t) == pytest.approx(total)
 
 
@@ -333,11 +441,11 @@ def test_integral_bound_flat_path_is_zero():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.3)])
     # positions constant but inside; flat centre path: both sides vanish
     forest.x_birth[0] = 0.3
-    chk = integral_bound_check(forest, 0, 1.0, flat_tube(1.0))
-    assert chk.lhs == pytest.approx(0.0, abs=1e-14)
+    chk = integral_bound_check(forest, [0], 1.0, flat_tube(1.0))
+    assert chk.lhs[0] == pytest.approx(0.0, abs=1e-14)
     assert chk.rhs == pytest.approx(0.0, abs=1e-14)
     assert chk.slack == pytest.approx(0.0, abs=1e-14)
-    assert chk.holds
+    assert chk.holds.all()
 
 
 def test_integral_bound_linear_path_closed_form():
@@ -350,12 +458,11 @@ def test_integral_bound_linear_path_closed_form():
         forest = simulate_forest(params, grid, stream=RngStream(39, (rep,)))
         mem = TubeMembership(forest, tube)
         w = TubeWeights(forest, tube, mem)
-        for pid in mem.members_at(2.0):
-            chk = integral_bound_check(forest, int(pid), 2.0, tube, w)
-            # f'' == 0: the bound is exactly eps*T*|c| with zero slack
-            assert chk.rhs == pytest.approx(tube.radius * c, abs=1e-9)
-            assert chk.slack == pytest.approx(0.0, abs=1e-12)
-            assert chk.holds
+        chk = integral_bound_check(forest, mem.members_at(2.0), 2.0, tube, w)
+        # f'' == 0: the bound is exactly eps*T*|c| with zero slack
+        assert chk.rhs == pytest.approx(tube.radius * c, abs=1e-9)
+        assert chk.slack == pytest.approx(0.0, abs=1e-12)
+        assert chk.holds.all()
 
 
 def test_integral_bound_validation_sweep():
@@ -370,10 +477,9 @@ def test_integral_bound_validation_sweep():
         w = TubeWeights(forest, tube, mem)
         z, count, bound, holds = count_bound_check(forest, tube, w)
         assert holds
-        for pid in mem.members_at(4.0):
-            chk = integral_bound_check(forest, int(pid), 4.0, tube, w)
-            assert chk.holds
-            checked += 1
+        chk = integral_bound_check(forest, mem.members_at(4.0), 4.0, tube, w)
+        assert chk.holds.all()
+        checked += len(chk.holds)
     assert checked > 100
 
 
@@ -382,7 +488,7 @@ def test_integral_bound_requires_membership():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 10.0 * t)])
     with pytest.raises(ValueError):
-        integral_bound_check(forest, 0, 1.0, flat_tube(1.0))
+        integral_bound_check(forest, [0], 1.0, flat_tube(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +535,7 @@ def test_importance_of_constant_is_one_when_tube_cannot_empty():
     params = make_params()
     grid = TimeGrid(3.0, 60)
     tube = flat_tube(3.0, eps=1000.0)
-    res = importance_estimate(lambda f: 1.0, params, tube, grid, 400, stream=RngStream(42, (0,)))
+    res = importance_estimates([lambda mem: 1.0], params, tube, grid, 400, stream=RngStream(42, (0,)))[0]
     assert res.n == 400
     assert abs(res.estimate - 1.0) <= 3.0 * res.se
 
@@ -438,9 +544,9 @@ def test_importance_of_constant_targets_populated_probability():
     params = make_params()
     grid = TimeGrid(3.0, 60)
     tube = flat_tube(3.0)
-    res = importance_estimate(
-        lambda f: 1.0, params, tube, grid, 800, stream=RngStream(42, (1,)), bridge=True
-    )
+    res = importance_estimates(
+        [lambda mem: 1.0], params, tube, grid, 800, stream=RngStream(42, (1,)), bridge=True
+    )[0]
     direct = []
     for rep in range(2000):
         forest = simulate_forest(params, grid, stream=RngStream(45, (rep,)))
@@ -457,9 +563,12 @@ def test_importance_matches_direct_count():
     grid = TimeGrid(3.0, 60)
     tube = flat_tube(3.0)
     counter = lambda f: float(count_tube(f, tube, bridge=True).count)
-    res = importance_estimate(
-        counter, params, tube, grid, 600, stream=RngStream(43, (0,)), bridge=True
-    )
+    # the guided side counts the members of the membership that gives Z,
+    # which draws the same bridge uniforms as count_tube
+    res = importance_estimates(
+        [lambda mem: float(len(mem.members_at(tube.t_end)))],
+        params, tube, grid, 600, stream=RngStream(43, (0,)), bridge=True,
+    )[0]
     direct = []
     for rep in range(1500):
         forest = simulate_forest(params, grid, stream=RngStream(44, (rep,)))
