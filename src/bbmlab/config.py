@@ -24,7 +24,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "z_sigma": 3.0,
     # law checks (Kolmogorov-Smirnov / chi-square) pass above this p-value
     "law_alpha": 1e-3,
-    # guided-spine integrator quality gate
+    # spine clamp-rate gate (the exact spine sampler never clamps: it reads 0)
     "clamp_rate_max": 0.01,
     # growth-rate agreement with the optimizer benchmark at the largest horizon
     "growth_abs": 0.15,
@@ -75,7 +75,6 @@ class ExperimentConfig:
     r: float = 1.0
     offspring: dict[int, float] = field(default_factory=lambda: {2: 1.0})
     steps_per_unit: int = 20
-    spine_substeps: int = 8
     # tube / ball specification at the rescaled level
     path: dict = field(default_factory=lambda: {"form": "zero", "kind": "smooth", "boundary": "clamped"})
     epsilon: float = 0.5
@@ -134,7 +133,7 @@ class ExperimentConfig:
 
     def grid(self, horizon: Optional[float] = None) -> TimeGrid:
         T = self.horizon if horizon is None else horizon
-        return TimeGrid(T, steps=max(1, int(round(T * self.steps_per_unit))), spine_substeps=self.spine_substeps)
+        return TimeGrid(T, steps=max(1, int(round(T * self.steps_per_unit))))
 
     def build_path(self):
         return build_path(self.path)

@@ -290,7 +290,7 @@ def growth_curve(
     raw = []
     for ti, T in enumerate(T_list):
         tube = make_tube(T)
-        grid = TimeGrid(T, steps=max(1, int(round(T * steps_per_unit))), spine_substeps=1)
+        grid = TimeGrid(T, steps=max(1, int(round(T * steps_per_unit))))
         rates = []
         n_capped = 0
         n_empty = 0

@@ -341,7 +341,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         )
         clamp_rate = clamps_total / steps_total if steps_total else 0.0
         report.add(
-            check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} steps")
+            check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} proposals")
         )
         if diffs:
             dmean, dse = _mean_se(diffs)
@@ -743,7 +743,7 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
     from .model import TimeGrid
 
     steps = max(int(round(cfg.horizon * cfg.steps_per_unit)), cfg.roughness_n**2)
-    grid = TimeGrid(cfg.horizon, steps=steps, spine_substeps=cfg.spine_substeps)
+    grid = TimeGrid(cfg.horizon, steps=steps)
     base = RngStream(cfg.seed, (_S_DIAG,))
     checked = 0
     hits = 0

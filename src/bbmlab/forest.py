@@ -154,8 +154,9 @@ class Forest:
 
 
 class _Builder:
-    """Accumulates particle rows in column chunks, in any id order; shared by
-    the plain and guided simulators."""
+    """Accumulates particle rows in column chunks; a row's id is its index
+    when it is added, so a caller adds each parent before its children.
+    Shared by the plain and guided simulators."""
 
     def __init__(self, grid: TimeGrid, horizon: float, cap: int):
         if horizon > grid.T + _IDX_EPS * grid.dt:
@@ -167,40 +168,33 @@ class _Builder:
         self.cap = cap
         self.chunks = []
         self.rows = 0
-        self.next_pid = 0
         self.capped = False
-        self.ids: Optional[np.ndarray] = None  # the rows' ids once finished
 
-    def new_pids(self, n: int) -> int:
-        """Reserve n consecutive ids and return the first."""
-        first = self.next_pid
-        self.next_pid += n
-        return first
-
-    def add_chunk(self, pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life):
-        """One row per entry of ``pid``; ``xs`` holds the rows' grid positions
-        back to back, ``n_grid`` of them per row."""
-        self.chunks.append((pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life))
-        self.rows += len(pid)
+    def add_chunk(self, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life):
+        """One row per entry of ``parent``, with ids from ``rows`` on; ``xs``
+        holds the rows' grid positions back to back, ``n_grid`` of them per
+        row."""
+        self.chunks.append((parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life))
+        self.rows += len(parent)
         if self.rows >= self.cap:
             self.capped = True
 
-    def grow(self, b: float, x: float, pid: int, parent: int, params: ModelParams,
-             rng: np.random.Generator) -> None:
-        """Expand seed ``pid`` (born at time b at position x) under the natural
-        law one generation per step; ids are breadth-first, as a FIFO queue
-        would give them. A generation that would pass ``cap`` is cut to its
-        first seeds. Positions wait for the genealogy: one pass over all
-        generations turns the drawn normals into paths."""
+    def grow(self, b: float, x: float, parent: int, params: ModelParams, rng: np.random.Generator) -> None:
+        """Expand a seed (child of ``parent``, born at time b at position x)
+        under the natural law one generation per step; ids are breadth-first,
+        as a FIFO queue would give them. A generation that would pass ``cap``
+        is cut to its first seeds. Positions wait for the genealogy: one pass
+        over all generations turns the drawn normals into paths."""
         if self.capped:
             return
         dt, horizon = self.grid.dt, self.horizon
         inv_r = 1.0 / params.r
-        rows, gens, draws = self.rows, [], []
-        b, ids, parent = np.array([b], dtype=np.float64), np.array([pid]), np.array([parent])
+        first_row = rows = self.rows
+        gens, draws = [], []
+        b, parent = np.array([b], dtype=np.float64), np.array([parent])
         while len(b) and rows < self.cap:
             n = min(len(b), self.cap - rows)
-            b, ids, parent = b[:n], ids[:n], parent[:n]
+            b, parent = b[:n], parent[:n]
             life = rng.exponential(inv_r, n)
             d = np.minimum(b + life, horizon)
             alive = d < horizon
@@ -209,16 +203,13 @@ class _Builder:
             draws.append(rng.standard_normal(n + int(k.sum())))
             n_off = np.full(n, -1, dtype=np.int64)
             n_off[alive] = sample_offspring_many(params.offspring, int(np.count_nonzero(alive)), rng)
-            gens.append((ids, parent, b, d, n_off, i0, k, life))
-            rows += n
+            gens.append((parent, b, d, n_off, i0, k, life))
             broods = n_off[alive]
-            parent = np.repeat(ids[alive], broods)
+            parent = np.repeat(np.arange(rows, rows + n)[alive], broods)
             b = np.repeat(d[alive], broods)
-            first = self.new_pids(len(b))
-            ids = np.arange(first, first + len(b))
+            rows += n
         sizes = [len(g[0]) for g in gens]
-        first_ids = [int(g[0][0]) for g in gens]
-        ids, parent, b, d, n_off, i0, k, life = (np.concatenate(col) for col in zip(*gens))
+        parent, b, d, n_off, i0, k, life = (np.concatenate(col) for col in zip(*gens))
         del gens
         path = np.concatenate(draws)
         del draws
@@ -236,47 +227,32 @@ class _Builder:
         base = np.zeros(len(b))
         base[1:] = path[last[:-1]]
         path -= np.repeat(base, k + 1)
-        # a generation starts where its parents died; a generation's ids are
-        # consecutive, so a parent's row is its id less ``shift``, the first
-        # id of the parents' generation less that generation's first row
+        # a generation starts where its parents died; a parent's row in this
+        # call is its id less the seed's
         xb, xd = np.full(len(b), float(x)), path[last]
-        lo, shift = 0, 0
-        for size, first_id in zip(sizes, first_ids):
+        lo = 0
+        for size in sizes:
             hi = lo + size
             if lo:
-                xb[lo:hi] = xd[parent[lo:hi] - shift]
+                xb[lo:hi] = xd[parent[lo:hi] - first_row]
             xd[lo:hi] += xb[lo:hi]
-            lo, shift = hi, first_id - lo
+            lo = hi
         path += np.repeat(xb, k + 1)
         on_grid = np.ones(len(path), dtype=bool)
         on_grid[last] = False
-        self.add_chunk(ids, parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life)
+        self.add_chunk(parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life)
 
     def finish(self, params: ModelParams, stream: RngStream) -> Forest:
-        """The rows as a forest in id order. Ids that were reserved but never
-        grown (a capped replicate) are squeezed out: rows get contiguous ids,
-        ``parent`` follows, and :meth:`rows_of` maps the old ids. A single
-        chunk already in id order is used as it is, without a copy."""
-        dtypes = (np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64,
+        """The rows as a forest. A single chunk is used as it is, without a
+        copy."""
+        dtypes = (np.int64, np.float64, np.float64, np.int64, np.float64, np.float64,
                   np.int64, np.float64, np.int64, np.float64)
         if len(self.chunks) == 1:
             cols = [np.asarray(col, dtype=t) for col, t in zip(self.chunks[0], dtypes)]
         else:
             cols = [np.concatenate(col, dtype=t) for col, t in zip(zip(*self.chunks), dtypes)]
         self.chunks = []
-        pid, parent, b, d, n_off, xb, xd, lo, xs, n_grid, life = cols
-        if not np.array_equal(pid, np.arange(len(pid))):
-            order = np.argsort(pid, kind="stable")
-            # grid positions follow their rows into id order
-            xs_start = (np.cumsum(n_grid) - n_grid)[order]
-            pid, parent, b, d, n_off, xb, xd, lo, n_grid, life = (
-                col[order] for col in (pid, parent, b, d, n_off, xb, xd, lo, n_grid, life)
-            )
-            xs_off = np.cumsum(n_grid) - n_grid
-            xs = xs[np.repeat(xs_start - xs_off, n_grid) + np.arange(len(xs))]
-        self.ids = pid
-        if len(pid) and pid[-1] != len(pid) - 1:
-            parent = np.where(parent >= 0, self.rows_of(parent), -1)
+        parent, b, d, n_off, xb, xd, lo, xs, n_grid, life = cols
         return Forest(
             params=params,
             grid=self.grid,
@@ -295,10 +271,6 @@ class _Builder:
             stream=stream,
         )
 
-    def rows_of(self, pids) -> np.ndarray:
-        """Rows of the finished forest that hold the given ids."""
-        return np.searchsorted(self.ids, pids)
-
 
 def simulate_forest(
     params: ModelParams,
@@ -313,7 +285,7 @@ def simulate_forest(
     estimators by the callers."""
     horizon = grid.T if horizon is None else float(horizon)
     builder = _Builder(grid, horizon, cap)
-    builder.grow(0.0, 0.0, builder.new_pids(1), -1, params, stream.generator())
+    builder.grow(0.0, 0.0, -1, params, stream.generator())
     return builder.finish(params, stream)
 
 

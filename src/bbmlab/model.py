@@ -139,8 +139,9 @@ class ModelParams:
 class TimeGrid:
     """Recording grid: positions are stored at times k*T/steps, k = 0..steps.
 
-    ``spine_substeps`` is the refinement factor of the guided-spine
-    integrator relative to the recording resolution.
+    ``spine_substeps`` is accepted and validated but read by nothing: the
+    guided spine is sampled exactly at the recorded times. It stays because
+    ``perfbench/workloads.py`` constructs ``TimeGrid(..., spine_substeps=8)``.
     """
 
     T: float

@@ -4,9 +4,8 @@ Two path representations are used. :class:`GridPath` is piecewise linear on a
 uniform grid and is the working object of the variational rate-function
 calculus; it is in the Cameron-Martin class by construction. :class:`SmoothPath`
 is a C^2 cubic spline and is required wherever second derivatives enter (the
-guided-spine drift and the pathwise integral bounds). Both expose exact
-closed-form prefix integrals of f'^2 and |f''| so that inequality checks never
-depend on numerical quadrature.
+pathwise integral bounds). Both expose exact closed-form prefix integrals of
+f'^2 and |f''| so that inequality checks never depend on numerical quadrature.
 """
 
 from __future__ import annotations
@@ -180,7 +179,6 @@ class SmoothPath:
         object.__setattr__(self, "_curv_beta", beta)
         seg_curv = np.array([_abs_linear_integral(alpha[k], beta[k], w) for k in range(nseg)])
         object.__setattr__(self, "_curv_cum", np.concatenate([[0.0], np.cumsum(seg_curv)]))
-        object.__setattr__(self, "_c_list", [list(row) for row in c])
         object.__setattr__(self, "_nseg", nseg)
         object.__setattr__(self, "_a_coeffs", (a2, a1, a0))
 
@@ -218,17 +216,6 @@ class SmoothPath:
         s = _check_unit_interval(s)
         out = self._d2pp(s)
         return float(out) if out.ndim == 0 else out
-
-    def value_scalar(self, s: float) -> float:
-        """Fast scalar evaluation for tight integrator loops."""
-        k, u = self._segment(s)
-        c0, c1, c2, c3 = self._c_list
-        return ((c0[k] * u + c1[k]) * u + c2[k]) * u + c3[k]
-
-    def derivative_scalar(self, s: float) -> float:
-        k, u = self._segment(s)
-        c0, c1, c2, _ = self._c_list
-        return (3.0 * c0[k] * u + 2.0 * c1[k]) * u + c2[k]
 
     def energy(self, phi: float) -> float:
         """Exact (1/2) int_0^phi f'(s)^2 ds."""

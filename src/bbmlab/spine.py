@@ -1,12 +1,17 @@
 """Guided simulation and the additive-martingale machinery.
 
-Under the transformed law the distinguished lineage (the spine) diffuses with
-the inward drift f'(t/T) - a*tan(a*(x - Tf(t/T))), a = pi/(2*eps*T), which
-confines it to the tube; it branches at the accelerated rate (m+1)r into
-size-biased offspring counts, one uniformly chosen child continues the spine,
-and every other particle behaves exactly as under the natural law. Simulating
-this measure is importance sampling for tube events: the natural-law
-expectation of a functional is the guided-law average of functional/Z.
+Under the transformed law the distinguished lineage (the spine) branches at
+the accelerated rate (m+1)r into size-biased offspring counts, one uniformly
+chosen child continues the spine, and every other particle behaves exactly as
+under the natural law. In centred coordinates Y = X - Tf(t/T) the spine is
+Knight's taboo process dY = -a*tan(a*Y) dt + dB on (-eps*T, eps*T),
+a = pi/(2*eps*T), for any centre f: Girsanov's exp(int f' dX - 1/2 int f'^2)
+cancels the drift f' (F. B. Knight, "Brownian local times and taboo
+processes", Trans. AMS 143, 1969). It is sampled exactly at its recorded
+times, one rejection step from a Gaussian proposal per gap, so it stays
+strictly inside the tube by construction. Simulating this measure is
+importance sampling for tube events: the natural-law expectation of a
+functional is the guided-law average of functional/Z.
 
 The per-particle weight is
 
@@ -40,7 +45,6 @@ __all__ = [
     "SpineRecord",
     "WeightedForest",
     "TubeWeights",
-    "IntegrationError",
     "simulate_guided",
     "additive_martingale",
     "spine_decomposition",
@@ -53,21 +57,17 @@ __all__ = [
     "importance_estimates",
 ]
 
-_CLAMP_FRACTION = 1.0 - 1e-6
-_NEAR_BOUNDARY = 0.05
 _IDX_EPS = 1e-9
-
-
-class IntegrationError(RuntimeError):
-    """The spine integrator hit its step-size floor."""
 
 
 @dataclass(frozen=True)
 class SpineRecord:
     """The distinguished lineage: particle ids, branch times S_u, offspring
-    counts A_u, plus integrator diagnostics. ``gap_draws`` are the raw
-    exponential draws (the final one may overshoot the horizon), which makes
-    them an unconditioned i.i.d. sample for law checks."""
+    counts A_u and child choices. ``gap_draws`` are the raw exponential draws
+    (the final one may overshoot the horizon), which makes them an
+    unconditioned i.i.d. sample for law checks. ``n_steps`` counts the path
+    sampler's proposals; ``n_clamped`` is always 0, since the exact sampler
+    never leaves the tube, and stays for readers of the clamp count."""
 
     pids: tuple[int, ...]
     birth_times: tuple[float, ...]
@@ -76,10 +76,6 @@ class SpineRecord:
     child_choices: tuple[int, ...]
     n_steps: int
     n_clamped: int
-
-    @property
-    def clamp_rate(self) -> float:
-        return self.n_clamped / self.n_steps if self.n_steps else 0.0
 
 
 class WeightedForest:
@@ -208,57 +204,69 @@ def additive_martingale(forest: Forest, t: float, tube: Tube, bridge: bool = Fal
     return TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge)).martingale_at(t)
 
 
-def _advance(path, T, eps_T, rng, t0, x0, t1, h_base, stats):
-    """Euler micro-stepping of the confined spine from (t0, x0) to time t1.
+def _bridge_survival(u: float, v: float, h: float, L: float) -> float:
+    """P(a Brownian bridge from u to v over time h stays in (0, L)), for u, v
+    in (0, L), by the method of images:
 
-    The tangent drift diverges at the tube wall, so the step shrinks so that
-    |drift|*h <= eps_T/10 and near the wall (within 5% of eps_T) it drops to
-    h_base/64; integrator overshoot beyond (1-1e-6)*eps_T is reflected back to
-    that radius and counted. The true process never reaches the wall, so the
-    clamp only absorbs discretisation overshoot.
+        sum over k of exp(-2kL(kL + v - u)/h) - exp(-2(u + kL)(v + kL)/h).
+
+    For |k| = j >= 1 each of the four terms has size at most
+    exp(-2(j-1)^2 L^2/h), so the terms with |k| >= K sum to at most
+    4 exp(-2(K-1)^2 L^2/h) / (1 - exp(-4(K-1) L^2/h)). The series stops at
+    K = 2 + floor(sqrt(20h)/L), where (K-1)^2 L^2/h > 20: the bound is below
+    4e^-40/(1 - e^-2) < 3e-17 whenever h <= 80 L^2, and the sampler's steps
+    have h < L^2. Every exponent is <= 0, so no term overflows.
     """
-    a = math.pi / (2.0 * eps_T)
-    h_floor = h_base * 2.0**-20
-    clamp_at = _CLAMP_FRACTION * eps_T
-    near_h = h_base / 64.0
-    t, x = t0, x0
-    while t < t1 - 1e-12 * max(1.0, T):
-        s = t / T
-        center = T * path.value_scalar(s if s < 1.0 else 1.0)
-        delta = x - center
-        drift = path.derivative_scalar(s if s < 1.0 else 1.0) - a * math.tan(a * delta)
-        h = min(h_base, t1 - t)
-        if eps_T - abs(delta) < _NEAR_BOUNDARY * eps_T:
-            h = min(h, near_h)
-        mag = abs(drift)
-        if mag * h > eps_T / 10.0:
-            h = eps_T / (10.0 * mag)
-            if h < h_floor:
-                raise IntegrationError(f"step {h:.3e} below floor {h_floor:.3e}")
-        x = x + drift * h + rng.standard_normal() * math.sqrt(h)
-        t = t + h
-        s2 = t / T
-        center2 = T * path.value_scalar(s2 if s2 < 1.0 else 1.0)
-        if abs(x - center2) >= clamp_at:
-            x = center2 + math.copysign(clamp_at, x - center2)
-            stats[1] += 1
-        stats[0] += 1
-    return x
+    K = 2 + int(math.sqrt(20.0 * h) / L)
+    p = 0.0
+    for k in range(1 - K, K):
+        kL = k * L
+        p += math.exp(-2.0 * kL * (kL + v - u) / h) - math.exp(-2.0 * (u + kL) * (v + kL) / h)
+    return p
 
 
-def _spine_piece(path, T, eps_T, rng, dt, h_base, b, xb, d, stats):
-    """Integrate one spine particle lifetime, collecting grid-time positions."""
+def _taboo_step(y: float, h: float, R: float, rng: np.random.Generator, stats: list) -> float:
+    """Y(t + h) given Y(t) = y for the taboo process dY = -a tan(aY) dt + dB on
+    (-R, R), a = pi/(2R), drawn exactly by rejection.
+
+    Its kernel is the killed heat kernel h-transformed by cos(az):
+    p(y, z) = e^{lam h} cos(az)/cos(ay) * phi_h(z - y) * P(bridge y -> z
+    stays inside), lam = a^2/2. So propose z = y + sqrt(h) N(0, 1), reject
+    |z| >= R outright, and accept with probability P(bridge) cos(az) <= 1;
+    a proposal is accepted with probability e^{-lam h} cos(ay). A gap with
+    lam h > 1 is crossed in ceil(lam h) equal transitions, which keeps that
+    probability above e^{-1} cos(ay). ``stats[0]`` counts the proposals; h <= 0
+    returns y and draws nothing.
+    """
+    if h <= 0.0:
+        return y
+    a = math.pi / (2.0 * R)
+    pieces = math.ceil(0.5 * a * a * h)
+    h /= pieces
+    sd = math.sqrt(h)
+    for _ in range(pieces):
+        while True:
+            stats[0] += 1
+            z = y + sd * rng.standard_normal()
+            if abs(z) < R and rng.random() < _bridge_survival(y + R, z + R, h, 2.0 * R) * math.cos(a * z):
+                break
+        y = z
+    return y
+
+
+def _spine_piece(y, b, d, dt, R, rng, stats):
+    """Centred spine path over one spine particle's lifetime [b, d] from Y(b) = y:
+    the first grid index i0, Y at the grid times i0*dt, ... inside [b, d], and
+    Y(d)."""
     i0 = int(math.ceil(b / dt - _IDX_EPS))
     i1 = int(math.floor(d / dt + _IDX_EPS))
-    xs = np.empty(max(i1 - i0 + 1, 0))
-    t, x = b, xb
+    ys = np.empty(max(i1 - i0 + 1, 0))
+    t = b
     for j, k in enumerate(range(i0, i1 + 1)):
         target = max(k * dt, t)
-        x = _advance(path, T, eps_T, rng, t, x, target, h_base, stats)
-        xs[j] = x
+        y = ys[j] = _taboo_step(y, target - t, R, rng, stats)
         t = target
-    x = _advance(path, T, eps_T, rng, t, x, d, h_base, stats)
-    return i0, xs, x
+    return i0, ys, _taboo_step(y, d - t, R, rng, stats)
 
 
 def simulate_guided(
@@ -270,67 +278,66 @@ def simulate_guided(
 ) -> WeightedForest:
     """Simulate one replicate under the spine-transformed law.
 
-    The spine keeps the replicate's primary stream; each sibling spawned at a
-    spine branch seeds an independent natural-law sub-forest with a fresh
-    stream, so subtree sizes never perturb the spine's randomness.
+    The spine's genealogy (gap, brood and child choice per branch) is drawn
+    from ``stream.split(0)`` and its path from ``stream.split(0, 1)``; each
+    sibling spawned at a spine branch seeds an independent natural-law
+    sub-forest with a stream of its own, so neither subtree sizes nor the
+    path perturb the spine's branching. The spine's chosen child is added
+    after its siblings' subtrees.
     """
-    if not isinstance(tube.path, SmoothPath):
-        raise TypeError("the guided drift needs a SmoothPath (continuous f')")
     if abs(tube.horizon - grid.T) > 1e-9 * max(1.0, grid.T):
         raise ValueError("tube horizon and recording grid horizon must agree")
-    T = grid.T
-    eps_T = tube.radius
-    dt = grid.dt
-    h_base = dt / grid.spine_substeps
+    T, R, dt = grid.T, tube.radius, grid.dt
+    centre_grid = tube.center(grid.times())
     builder = _Builder(grid, T, cap)
-    spine_rng = stream.split(0).generator()
+    genealogy = stream.split(0).generator()
+    path_rng = stream.split(0, 1).generator()
     biased = size_biased(params.offspring)
     spine_rate = (params.m + 1.0) * params.r
-    stats = [0, 0]  # [steps, clamps]
+    stats = [0]  # proposals
     pids, births, broods, gaps, choices = [], [], [], [], []
     sibling_counter = 0
-    t, x = 0.0, 0.0
+    t, x, y = 0.0, 0.0, 0.0
     parent = -1
-    pid = builder.new_pids(1)
     while True:
-        gap = spine_rng.exponential(1.0 / spine_rate)
+        gap = genealogy.exponential(1.0 / spine_rate)
         gaps.append(gap)
         censored = t + gap >= T
         d = T if censored else t + gap
-        i0, xs, xd = _spine_piece(tube.path, T, eps_T, spine_rng, dt, h_base, t, x, d, stats)
-        brood = -1 if censored else sample_offspring(biased, spine_rng)
-        builder.add_chunk([pid], [parent], [t], [d], [brood], [x], [xd], [i0], xs, [len(xs)], [gap])
+        i0, ys, y = _spine_piece(y, t, d, dt, R, path_rng, stats)
+        xs = ys + centre_grid[i0 : i0 + len(ys)]
+        xd = y + tube.center(d)
+        brood = -1 if censored else sample_offspring(biased, genealogy)
+        pid = builder.rows
+        builder.add_chunk([parent], [t], [d], [brood], [x], [xd], [i0], xs, [len(xs)], [gap])
         pids.append(pid)
         if censored:
             break
         births.append(d)
         broods.append(brood)
-        first_child = builder.new_pids(brood)
-        chosen = int(spine_rng.integers(brood))
+        chosen = int(genealogy.integers(brood))
         choices.append(chosen)
         for j in range(brood):
             if j == chosen:
                 continue
             sib = stream.split(1 + sibling_counter)
             sibling_counter += 1
-            builder.grow(d, xd, first_child + j, pid, params, sib.generator())
+            builder.grow(d, xd, pid, params, sib.generator())
             if builder.capped:
                 break
         if builder.capped:
             break
-        parent, pid = pid, first_child + chosen
-        t, x = d, xd
-    forest = builder.finish(params, stream)
+        parent, t, x = pid, d, xd
     record = SpineRecord(
-        pids=tuple(builder.rows_of(pids).tolist()),
+        pids=tuple(pids),
         birth_times=tuple(births),
         offspring=tuple(broods),
         gap_draws=tuple(gaps),
         child_choices=tuple(choices),
         n_steps=stats[0],
-        n_clamped=stats[1],
+        n_clamped=0,
     )
-    return WeightedForest(forest, record, tube)
+    return WeightedForest(builder.finish(params, stream), record, tube)
 
 
 def spine_decomposition(wf: WeightedForest, t: float) -> float:
@@ -526,7 +533,8 @@ def importance_estimates(
 
     The spine keeps Z(t) > 0 on every guided replicate (up to bridge
     rejections of its own recorded segments); a zero across all replicates
-    signals an integrator bug and raises.
+    cannot come from the exact sampler, whose spine never leaves the tube,
+    and raises.
     """
     t = tube.t_end if t is None else t
     vals = [[] for _ in functionals]
@@ -543,7 +551,7 @@ def importance_estimates(
         for out, functional in zip(vals, functionals):
             out.append(functional(membership) / z if z > 0.0 else 0.0)
     if replicates > n_capped and not any_positive:
-        raise RuntimeError("Z vanished on every guided replicate: integrator bug")
+        raise RuntimeError("Z vanished on every guided replicate, though the spine never leaves the tube")
     results = []
     for out in vals:
         arr = np.asarray(out)

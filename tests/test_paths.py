@@ -128,13 +128,6 @@ def test_smooth_sup_bounds_dominate_dense_scan():
         assert sp.second_derivative_sup(phi) == pytest.approx(d2, rel=1e-4)
 
 
-def test_smooth_scalar_eval_matches_vector():
-    sp = SmoothPath.from_function(lambda s: 0.4 * s * s, 16, boundary="clamped")
-    for s in (0.0, 0.12, 0.5, 0.99, 1.0):
-        assert sp.value_scalar(s) == pytest.approx(float(sp.value(s)), abs=1e-14)
-        assert sp.derivative_scalar(s) == pytest.approx(float(sp.derivative(s)), abs=1e-12)
-
-
 def test_tube_validation_and_center():
     path = GridPath.line(0.5, 4)
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from bbmlab import spine
 from bbmlab.counting import TubeMembership, count_tube
 from bbmlab.forest import _Builder, lineage, simulate_forest
-from bbmlab.model import OffspringLaw, RngStream, TimeGrid, size_biased
+from bbmlab.model import OffspringLaw, RngStream, TimeGrid, sample_offspring, size_biased
 from bbmlab.paths import GridPath, SmoothPath, Tube
 from bbmlab.spine import (
     TubeWeights,
@@ -233,13 +234,26 @@ def test_integral_bound_check_array_matches_per_id_loop():
 # ---------------------------------------------------------------------------
 
 
-def test_guided_requires_smooth_path_and_matching_grid():
+def test_guided_requires_matching_grid():
     params = make_params()
     grid = TimeGrid(2.0, 40)
-    with pytest.raises(TypeError):
-        simulate_guided(params, Tube(GridPath.zero(4), 0.5, 1.0, 2.0), grid)
     with pytest.raises(ValueError):
         simulate_guided(params, flat_tube(3.0), grid)
+
+
+def test_guided_follows_a_grid_path():
+    # the sampler never reads f', so a piecewise-linear centre works too: the
+    # spine stays strictly inside the sloped tube at every recorded point
+    params = make_params(law=MIXED)
+    grid = TimeGrid(4.0, 80)
+    tube = Tube(GridPath.line(0.8, 4), 0.3, 1.0, 4.0)
+    for rep in range(5):
+        wf = simulate_guided(params, tube, grid, stream=RngStream(21, (rep,)))
+        membership = wf.weights().membership
+        for pid in wf.spine.pids:
+            rec = wf.forest.record(pid)
+            assert np.all(np.abs(rec.positions - tube.center(rec.times)) < tube.radius)
+            assert membership.first_exit[pid] > rec.t_death
 
 
 def test_guided_spine_confined_and_lawful():
@@ -322,6 +336,104 @@ def test_guided_determinism():
 
 
 # ---------------------------------------------------------------------------
+# the exact spine sampler against the eigen-series of the killed heat kernel
+# ---------------------------------------------------------------------------
+
+
+def killed_kernel(h, u, v, L, n_max=400):
+    """Density of Brownian motion from u at v after time h, killed on leaving
+    (0, L): (2/L) sum_n exp(-n^2 pi^2 h/(2L^2)) sin(n pi u/L) sin(n pi v/L)."""
+    n = np.arange(1, n_max + 1)
+    w = n * math.pi / L
+    return 2.0 / L * float(np.sum(np.exp(-0.5 * w * w * h) * np.sin(w * u) * np.sin(w * v)))
+
+
+def taboo_cdf(z, y, h, R, n_max=400):
+    """CDF at z of the taboo process after time h from y, from the eigen-series:
+    the killed kernel h-transformed by cos(a z), integrated in closed form
+    (the n = 1 term carries the stationary cos^2 law)."""
+    L = 2.0 * R
+    om = math.pi / L
+    u, S = y + R, np.asarray(z, dtype=np.float64) + R
+    total = 0.0
+    for n in range(1, n_max + 1):
+        # int_0^S sin(om s) sin(n om s) ds
+        first = S if n == 1 else np.sin((n - 1) * om * S) / ((n - 1) * om)
+        integral = 0.5 * (first - np.sin((n + 1) * om * S) / ((n + 1) * om))
+        total = total + math.exp(-0.5 * (n * om) ** 2 * h) * math.sin(n * om * u) * integral
+    return math.exp(0.5 * om * om * h) / math.sin(om * u) * 2.0 / L * total
+
+
+@pytest.mark.parametrize("h_over_L2", [0.01, 0.2, 1.0])
+def test_bridge_survival_is_the_killed_kernel_over_the_free_one(h_over_L2):
+    # at h/L^2 = 1 the images k = +-1 and +-2 both matter
+    L = 2.0
+    h = h_over_L2 * L * L
+    points = (0.02, 0.3, 0.9, 1.0, 1.6, 1.97)
+    checked = 0
+    for u in points:
+        for v in points:
+            if abs(v - u) > 3.0 * math.sqrt(h):
+                continue  # the free kernel is too small to divide by at 1e-12
+            free = math.exp(-((v - u) ** 2) / (2.0 * h)) / math.sqrt(2.0 * math.pi * h)
+            want = killed_kernel(h, u, v, L) / free
+            assert spine._bridge_survival(u, v, h, L) == pytest.approx(want, abs=1e-12)
+            checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("y0_over_R", [0.0, 0.9, -0.97])
+@pytest.mark.parametrize("h", [0.05, 0.6, 3.0, 12.0])
+def test_taboo_step_has_the_eigen_series_law(y0_over_R, h):
+    # R = 3: lam = pi^2/72, so h = 12 crosses the gap in two transitions
+    R = 3.0
+    y0 = y0_over_R * R
+    rng = np.random.default_rng([int(1000 * h), int(100 + 100 * y0_over_R)])
+    stats = [0]
+    zs = np.array([spine._taboo_step(y0, h, R, rng, stats) for _ in range(3000)])
+    assert np.all(np.abs(zs) < R)
+    ks = sstats.kstest(zs, lambda z: taboo_cdf(z, y0, h, R))
+    assert ks.pvalue > 1e-3
+    # a proposal is accepted with probability e^{-lam h} cos(a y0) (one piece)
+    lam = math.pi**2 / (8.0 * R * R)
+    if lam * h <= 1.0:
+        p = math.exp(-lam * h) * math.cos(math.pi * y0 / (2.0 * R))
+        assert abs(stats[0] - 3000 / p) < 4.0 * math.sqrt(3000 * (1.0 - p)) / p
+
+
+def test_taboo_step_of_zero_gap_draws_nothing():
+    rng = np.random.default_rng(0)
+    stats = [0]
+    assert spine._taboo_step(0.7, 0.0, 1.0, rng, stats) == 0.7
+    assert stats == [0] and rng.random() == np.random.default_rng(0).random()
+
+
+def test_spine_genealogy_replays_from_its_own_stream():
+    # gaps, broods and child choices come from stream.split(0) in that order,
+    # whatever the path sampler drew
+    params = make_params(law=MIXED)
+    T = 5.0
+    tube = flat_tube(T)
+    biased = size_biased(MIXED)
+    for rep in range(10):
+        stream = RngStream(19, (rep,))
+        s = simulate_guided(params, tube, TimeGrid(T, 100), stream=stream).spine
+        rng = stream.split(0).generator()
+        gaps, broods, choices, t = [], [], [], 0.0
+        while True:
+            gaps.append(rng.exponential(1.0 / ((params.m + 1.0) * params.r)))
+            if t + gaps[-1] >= T:
+                break
+            t += gaps[-1]
+            broods.append(sample_offspring(biased, rng))
+            choices.append(int(rng.integers(broods[-1])))
+        assert s.gap_draws == tuple(gaps)
+        assert s.offspring == tuple(broods)
+        assert s.child_choices == tuple(choices)
+        assert s.n_steps >= 100 and s.n_clamped == 0
+
+
+# ---------------------------------------------------------------------------
 # spine decomposition
 # ---------------------------------------------------------------------------
 
@@ -354,9 +466,10 @@ def test_spine_stream_ignores_subtrees(monkeypatch):
 
 
 def test_capped_guided_forest_has_contiguous_ids():
-    # a capped replicate reserves ids it never grows (siblings past the cap,
-    # the spine's next particle); the rows are renumbered so that parents
-    # precede children and each child starts where its parent died
+    # ids are rows in the order they are added, so a capped replicate (its
+    # siblings past the cap and the spine's next particle never added) has
+    # no gaps: parents precede children and each child starts where its
+    # parent died
     params = make_params(law=MIXED)
     grid = TimeGrid(5.0, 100)
     tube = flat_tube(5.0)
