@@ -270,91 +270,86 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
     spine_rows = []
     in_tube_ok = True
     steps_total = clamps_total = 0
-    if smooth:
-        qbase = RngStream(cfg.seed, (_S_SPINE,))
-        for rep in range(cfg.spine_replicates):
-            wf = spine.simulate_guided(params, tube, grid, stream=qbase.split(rep), cap=cfg.cap)
-            if wf.forest.capped:
-                n_capped += 1
-                continue
-            gaps.extend(wf.spine.gap_draws)
-            broods.extend(wf.spine.offspring)
-            steps_total += wf.spine.n_steps
-            clamps_total += wf.spine.n_clamped
-            w = wf.weights()
-            pids = np.asarray(wf.spine.pids)
-            in_tube_ok &= bool(np.all(w.membership.first_exit[pids] > np.minimum(wf.forest.t_death[pids], t_end)))
-            z_q = w.martingale_at(t_end)
-            decomp = spine.spine_decomposition(wf, t_end)
-            diffs.append(z_q - decomp)
-            spine_rows.append(
-                (rep, t_end, z_q, decomp, wf.spine.n_clamped, len(w.membership.members_at(t_end)))
-            )
-        if diffs:
-            rate_spine = (params.m + 1.0) * params.r
-            ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / rate_spine))
-            report.add(
-                CheckResult(
-                    "spine_gap_law[KS vs Exp((m+1)r)]",
-                    "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
-                    observed=float(ks.pvalue),
-                    benchmark=cfg.tol("law_alpha"),
-                    note=f"{len(gaps)} gap draws",
-                )
-            )
-            biased = size_biased(params.offspring)
-            if biased.is_degenerate:
-                only = biased.pmf[0][0]
-                ok = all(b == only for b in broods)
-                report.add(
-                    CheckResult(
-                        "spine_offspring_law[point mass]",
-                        "pass" if ok else "fail",
-                        observed=float(sum(b != only for b in broods)),
-                        benchmark=0.0,
-                    )
-                )
-            else:
-                ks_list = [k for k, _ in biased.pmf]
-                observed = np.array([broods.count(k) for k in ks_list], dtype=float)
-                expected = np.array([p for _, p in biased.pmf]) * len(broods)
-                chi = sstats.chisquare(observed, expected)
-                report.add(
-                    CheckResult(
-                        "spine_offspring_law[chi-square vs size-biased]",
-                        "pass" if chi.pvalue > cfg.tol("law_alpha") else "fail",
-                        observed=float(chi.pvalue),
-                        benchmark=cfg.tol("law_alpha"),
-                        note=f"{len(broods)} births",
-                    )
-                )
-        else:
-            for name in ("spine_gap_law", "spine_offspring_law"):
-                report.add(CheckResult(name, "fail", note=_NO_GUIDED))
+    qbase = RngStream(cfg.seed, (_S_SPINE,))
+    for rep in range(cfg.spine_replicates):
+        wf = spine.simulate_guided(params, tube, grid, stream=qbase.split(rep), cap=cfg.cap)
+        if wf.forest.capped:
+            n_capped += 1
+            continue
+        gaps.extend(wf.spine.gap_draws)
+        broods.extend(wf.spine.offspring)
+        steps_total += wf.spine.n_steps
+        clamps_total += wf.spine.n_clamped
+        w = wf.weights()
+        pids = np.asarray(wf.spine.pids)
+        in_tube_ok &= bool(np.all(w.membership.first_exit[pids] > np.minimum(wf.forest.t_death[pids], t_end)))
+        z_q = w.martingale_at(t_end)
+        decomp = spine.spine_decomposition(wf, t_end)
+        diffs.append(z_q - decomp)
+        spine_rows.append(
+            (rep, t_end, z_q, decomp, wf.spine.n_clamped, len(w.membership.members_at(t_end)))
+        )
+    if diffs:
+        rate_spine = (params.m + 1.0) * params.r
+        ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / rate_spine))
         report.add(
             CheckResult(
-                "spine_in_tube[all recorded points]",
-                "pass" if in_tube_ok else "fail",
-                observed=1.0 if in_tube_ok else 0.0,
-                benchmark=1.0,
+                "spine_gap_law[KS vs Exp((m+1)r)]",
+                "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
+                observed=float(ks.pvalue),
+                benchmark=cfg.tol("law_alpha"),
+                note=f"{len(gaps)} gap draws",
             )
         )
-        clamp_rate = clamps_total / steps_total if steps_total else 0.0
-        report.add(
-            check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} proposals")
-        )
-        if diffs:
-            dmean, dse = _mean_se(diffs)
+        biased = size_biased(params.offspring)
+        if biased.is_degenerate:
+            only = biased.pmf[0][0]
+            ok = all(b == only for b in broods)
             report.add(
-                check_z("decomposition_vs_martingale[guided mean]", dmean, 0.0, dse, sigmas,
-                        note="paired difference")
+                CheckResult(
+                    "spine_offspring_law[point mass]",
+                    "pass" if ok else "fail",
+                    observed=float(sum(b != only for b in broods)),
+                    benchmark=0.0,
+                )
             )
         else:
-            report.add(CheckResult("decomposition_vs_martingale", "fail", note=_NO_GUIDED))
+            ks_list = [k for k, _ in biased.pmf]
+            observed = np.array([broods.count(k) for k in ks_list], dtype=float)
+            expected = np.array([p for _, p in biased.pmf]) * len(broods)
+            chi = sstats.chisquare(observed, expected)
+            report.add(
+                CheckResult(
+                    "spine_offspring_law[chi-square vs size-biased]",
+                    "pass" if chi.pvalue > cfg.tol("law_alpha") else "fail",
+                    observed=float(chi.pvalue),
+                    benchmark=cfg.tol("law_alpha"),
+                    note=f"{len(broods)} births",
+                )
+            )
     else:
-        for name in ("spine_gap_law", "spine_offspring_law", "spine_in_tube", "spine_clamp_rate",
-                     "decomposition_vs_martingale"):
-            report.add(CheckResult(name, "skip", note="needs a smooth path"))
+        for name in ("spine_gap_law", "spine_offspring_law"):
+            report.add(CheckResult(name, "fail", note=_NO_GUIDED))
+    report.add(
+        CheckResult(
+            "spine_in_tube[all recorded points]",
+            "pass" if in_tube_ok else "fail",
+            observed=1.0 if in_tube_ok else 0.0,
+            benchmark=1.0,
+        )
+    )
+    clamp_rate = clamps_total / steps_total if steps_total else 0.0
+    report.add(
+        check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} proposals")
+    )
+    if diffs:
+        dmean, dse = _mean_se(diffs)
+        report.add(
+            check_z("decomposition_vs_martingale[guided mean]", dmean, 0.0, dse, sigmas,
+                    note="paired difference")
+        )
+    else:
+        report.add(CheckResult("decomposition_vs_martingale", "fail", note=_NO_GUIDED))
 
     # -- envelope check (hypothesis gated) ----------------------------------
     if smooth:
@@ -411,51 +406,48 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         )
 
     # -- cross-measure consistency (importance sampling vs direct) ----------
-    if smooth:
-        Tc = cfg.cross_horizon
-        cgrid = cfg.grid(Tc)
-        ctube = cfg.tube(horizon=Tc)
-        dbase = RngStream(cfg.seed, (_S_CROSS_DIRECT,))
-        direct_counts, direct_nonempty = [], []
-        for rep in range(cfg.cross_replicates):
-            forest = simulate_forest(params, cgrid, stream=dbase.split(rep), cap=cfg.cap)
-            if forest.capped:
-                n_capped += 1
-                continue
-            c = count_tube(forest, ctube, bridge=cfg.bridge_correction).count
-            direct_counts.append(float(c))
-            direct_nonempty.append(1.0 if c > 0 else 0.0)
-        mem_count = lambda mem: float(len(mem.members_at(ctube.t_end)))
-        imp_count, imp_nonempty = spine.importance_estimates(
-            (mem_count, lambda mem: 1.0 if mem_count(mem) > 0 else 0.0),
-            params, ctube, cgrid, cfg.cross_replicates,
-            stream=RngStream(cfg.seed, (_S_CROSS_GUIDED,)), cap=cfg.cap,
-            bridge=cfg.bridge_correction,
-        )
-        n_capped += imp_count.n_capped
-        dmean, dse = _mean_se(direct_counts)
-        report.add(
-            check_z("cross_measure[E|N| importance vs direct]", imp_count.estimate, dmean,
-                    _pooled_se(imp_count.se, dse), sigmas)
-        )
-        # Brownian-path oracle for the same expected count
-        bm = brownian_paths(cgrid, ctube.t_end, cfg.cross_replicates, dbase.split(999_999))
-        inside = counting.brownian_tube_indicator(
-            bm, cgrid.times(), ctube, bridge=cfg.bridge_correction, stream=dbase.split(999_998)
-        )
-        omean, ose = _mean_se(inside)
-        oracle = math.exp(params.rm * ctube.t_end) * omean
-        report.add(
-            check_z("cross_measure[direct vs Brownian oracle]", dmean, oracle,
-                    _pooled_se(dse, math.exp(params.rm * ctube.t_end) * ose), sigmas)
-        )
-        nmean, nse = _mean_se(direct_nonempty)
-        report.add(
-            check_z("cross_measure[P(N>=1) importance vs direct]", imp_nonempty.estimate, nmean,
-                    _pooled_se(imp_nonempty.se, nse), sigmas)
-        )
-    else:
-        report.add(CheckResult("cross_measure", "skip", note="needs a smooth path"))
+    Tc = cfg.cross_horizon
+    cgrid = cfg.grid(Tc)
+    ctube = cfg.tube(horizon=Tc)
+    dbase = RngStream(cfg.seed, (_S_CROSS_DIRECT,))
+    direct_counts, direct_nonempty = [], []
+    for rep in range(cfg.cross_replicates):
+        forest = simulate_forest(params, cgrid, stream=dbase.split(rep), cap=cfg.cap)
+        if forest.capped:
+            n_capped += 1
+            continue
+        c = count_tube(forest, ctube, bridge=cfg.bridge_correction).count
+        direct_counts.append(float(c))
+        direct_nonempty.append(1.0 if c > 0 else 0.0)
+    mem_count = lambda mem: float(len(mem.members_at(ctube.t_end)))
+    imp_count, imp_nonempty = spine.importance_estimates(
+        (mem_count, lambda mem: 1.0 if mem_count(mem) > 0 else 0.0),
+        params, ctube, cgrid, cfg.cross_replicates,
+        stream=RngStream(cfg.seed, (_S_CROSS_GUIDED,)), cap=cfg.cap,
+        bridge=cfg.bridge_correction,
+    )
+    n_capped += imp_count.n_capped
+    dmean, dse = _mean_se(direct_counts)
+    report.add(
+        check_z("cross_measure[E|N| importance vs direct]", imp_count.estimate, dmean,
+                _pooled_se(imp_count.se, dse), sigmas)
+    )
+    # Brownian-path oracle for the same expected count
+    bm = brownian_paths(cgrid, ctube.t_end, cfg.cross_replicates, dbase.split(999_999))
+    inside = counting.brownian_tube_indicator(
+        bm, cgrid.times(), ctube, bridge=cfg.bridge_correction, stream=dbase.split(999_998)
+    )
+    omean, ose = _mean_se(inside)
+    oracle = math.exp(params.rm * ctube.t_end) * omean
+    report.add(
+        check_z("cross_measure[direct vs Brownian oracle]", dmean, oracle,
+                _pooled_se(dse, math.exp(params.rm * ctube.t_end) * ose), sigmas)
+    )
+    nmean, nse = _mean_se(direct_nonempty)
+    report.add(
+        check_z("cross_measure[P(N>=1) importance vs direct]", imp_nonempty.estimate, nmean,
+                _pooled_se(imp_nonempty.se, nse), sigmas)
+    )
 
     if n_capped:
         report.details["capped_replicates"] = n_capped

@@ -38,13 +38,13 @@ class GridPath:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = tuple(float(v) for v in values)
+        arr = np.array(values, dtype=float)
+        vals = tuple(arr.tolist())
         if len(vals) < 2:
             raise ValueError("a grid path needs at least two values")
         if vals[0] != 0.0:
             raise ValueError(f"paths start at the origin, got f(0)={vals[0]}")
         object.__setattr__(self, "values", vals)
-        arr = np.array(vals)
         n = len(vals) - 1
         object.__setattr__(self, "_arr", arr)
         object.__setattr__(self, "_slopes", np.diff(arr) * n)

@@ -11,8 +11,11 @@ On the grid s_k = k/n the energy up to theta is (1/2) sum_k d_k^2 / tau_k,
 where d_k is the increment over segment k and tau_k = 1/(n^2 w_k) is its
 length in stretched time (w_k is its overlap with [0, theta], so a partial
 last segment is exact). Minimising it over the ball is a taut string through
-the gates [f(s_k) - eps, f(s_k) + eps]: one string-pulling pass over the
-knots finds it (Davies & Kovac, Ann. Statist. 29, 2001).
+the K gates [f(s_k) - eps, f(s_k) + eps] that overlap [0, theta], with a
+free end at theta (Davies & Kovac, Ann. Statist. 29, 2001). One forward
+string-pulling pass over the K gates finds it, and the funnel left open
+after the last gate settles the free end in closed form; the pass counts K
+iterations.
 
 Two certificates then settle every ball query. If the box minimiser keeps
 E(phi) <= rm*phi on every prefix, its rate is the value. If it breaks the
@@ -27,7 +30,6 @@ sentinels by the reporting layer; they never enter arithmetic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,19 +82,20 @@ def extinction_theta(path: Path, rm: float) -> float:
 def _extinction_grid(path: GridPath, rm: float) -> float:
     n = path.n
     h = 1.0 / n
-    prof = path.energy_profile()
-    slopes = path._slopes
-    for k in range(n):
-        g_k = rm * (k * h) - prof[k]
-        slope = rm - 0.5 * slopes[k] ** 2
-        if slope < 0.0:
-            # g is linear on the segment; a down-crossing pins the infimum.
-            root = k * h - g_k / slope
-            if root < (k + 1) * h or math.isclose(root, (k + 1) * h):
-                if g_k + slope * h < 0.0:
-                    return float(root)
-                # touches zero exactly at the right knot: not yet negative
-    return math.inf
+    k = np.arange(n)
+    g = rm * (k * h) - path.energy_profile()[:n]
+    slope = rm - 0.5 * path._slopes**2
+    right = (k + 1) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # g is linear on each segment; a down-crossing pins the infimum
+        root = k * h - g / slope
+        diff = np.abs(right - root)
+        # math.isclose(root, right) at its default rel_tol 1e-9, abs_tol 0
+        close = (root == right) | (np.isfinite(root) & ((diff <= 1e-9 * right) | (diff <= np.abs(1e-9 * root))))
+        # touching zero exactly at the right knot is not yet negative
+        hit = (slope < 0.0) & ((root < right) | close) & (g + slope * h < 0.0)
+    first = np.flatnonzero(hit)
+    return float(root[first[0]]) if len(first) else math.inf
 
 
 def _extinction_smooth(path: SmoothPath, rm: float) -> float:
@@ -201,67 +204,119 @@ class _Ball:
 
 
 def _taut_string(t: list, lo: list, hi: list) -> np.ndarray:
-    """Values at the knots t_0 < ... < t_N of the path from (t_0, lo_0) to
-    (t_N, lo_N) through the gates [lo_k, hi_k] (lo_0 = hi_0, lo_N = hi_N)
-    that minimises sum_k (x_{k+1} - x_k)^2 / (t_{k+1} - t_k): the taut
-    string, which is the shortest such path.
+    """Values at the knots t_0 < ... < t_K of the path from (t_0, lo_0)
+    through the gates [lo_k, hi_k], k = 1..K, with a free end at t_K, that
+    minimises sum_k (x_{k+1} - x_k)^2 / (t_{k+1} - t_k): the taut string.
 
-    String pulling fixes the string's vertices from left to right. From the
-    last fixed vertex (the apex), ``upper`` is the taut path to the top of
-    the latest gate, convex because only upper limits bend it, and ``lower``
-    the concave one to its bottom. A new gate end that passes the other
-    chain pulls the apex along that chain. Each knot enters and leaves each
-    chain at most once, so the pass is linear in N.
+    One forward string-pulling pass fixes the string's vertices from left
+    to right (Lee & Preparata, Networks 14, 1984). From the last fixed
+    vertex (the apex), ``upper`` is the taut path to the top of the latest
+    gate, convex because only upper limits bend it, and ``lower`` the
+    concave one to its bottom; both start at the apex. A new gate end that
+    passes the other chain pulls the apex along that chain. Each knot
+    enters and leaves each chain at most once, so the pass is linear in K.
+    The chains are flat lists read from a head index.
+
+    After gate K the funnel is open, and the free end is settled in closed
+    form. The upper chain's first slope is at least the lower chain's, so at
+    most one of these holds: the upper chain dips below the apex, then the
+    string follows it down to its lowest vertex and runs flat to t_K; the
+    lower chain rises above the apex, then the string follows it up to its
+    highest vertex and runs flat; otherwise it runs flat from the apex.
+
+    Each finish meets the KKT conditions of this strictly convex problem,
+    so it is the minimiser. They ask the string to be straight away from
+    active gates, to bend up (slopes increasing) only at an active top and
+    down only at an active bottom, and to leave t_K with slope 0, or with a
+    slope < 0 on hi_K or > 0 on lo_K.
+
+    - Before the apex the string is the pinned one, which meets them.
+    - Along a chain they hold: the upper chain is convex with its vertices
+      on tops, the lower chain concave with its vertices on bottoms.
+    - At the apex the outgoing slope lies between the lower and the upper
+      chain's first slope (0 does when neither chain leaves the apex's
+      level). An apex fixed from the lower chain came in at least as steep
+      as the upper chain's first slope was then, and that slope only falls
+      as gates are added, so the bend there is down, at a bottom. Mirrored,
+      the same holds for an apex fixed from the upper chain.
+    - At the lowest upper vertex the string turns from a falling slope to
+      0, a bend up at a top; if that vertex is the top of gate K, the
+      string ends there falling. The highest lower vertex is the mirror
+      image.
+    - The flat run stays in its gates. In the first finish, past the
+      lowest vertex v the upper chain rises and keeps below every later
+      top. The lower chain falls from the apex, keeps below the upper chain
+      and above every later bottom, so each later bottom is at most the
+      lower chain at v's knot, hence at most v. The other two finishes
+      follow alike.
     """
-
-    def cross(o, a, b):  # > 0 iff the slope from o to b exceeds the slope from o to a
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    apex = (t[0], lo[0])
-    vertices = [apex]
-    upper, lower = deque([apex]), deque([apex])
-    for tk, lk, hk in zip(t[1:], lo[1:], hi[1:]):
-        for point, chain, other, side in (((tk, hk), upper, lower, 1.0), ((tk, lk), lower, upper, -1.0)):
-            while len(chain) > 1 and side * cross(chain[-2], chain[-1], point) <= 0.0:
-                chain.pop()
-            if len(chain) == 1:
-                while len(other) > 1 and side * cross(other[0], other[1], point) < 0.0:
-                    other.popleft()
-                    vertices.append(other[0])
-                chain[0] = other[0]
-            chain.append(point)
-    vertices.extend(list(upper)[1:])
-    vt, vx = zip(*vertices)
+    vt, vx = [t[0]], [lo[0]]  # fixed vertices; the last is the apex
+    ut, ux, lt, lx = [t[0]], [lo[0]], [t[0]], [lo[0]]
+    ui = li = 0  # chain heads, both at the apex
+    for k in range(1, len(t)):
+        tk, hk, lk = t[k], hi[k], lo[k]
+        # the top of gate k joins the upper chain; a cross product > 0 iff
+        # the slope from o to b exceeds the slope from o to a
+        while len(ut) - ui > 1 and (ut[-1] - ut[-2]) * (hk - ux[-2]) - (ux[-1] - ux[-2]) * (tk - ut[-2]) <= 0.0:
+            ut.pop()
+            ux.pop()
+        if len(ut) - ui == 1:
+            while len(lt) - li > 1 and (lt[li + 1] - lt[li]) * (hk - lx[li]) - (lx[li + 1] - lx[li]) * (tk - lt[li]) < 0.0:
+                li += 1
+                vt.append(lt[li])
+                vx.append(lx[li])
+            ut[ui], ux[ui] = lt[li], lx[li]
+        ut.append(tk)
+        ux.append(hk)
+        # the bottom of gate k joins the lower chain, mirrored
+        while len(lt) - li > 1 and (lt[-1] - lt[-2]) * (lk - lx[-2]) - (lx[-1] - lx[-2]) * (tk - lt[-2]) >= 0.0:
+            lt.pop()
+            lx.pop()
+        if len(lt) - li == 1:
+            while len(ut) - ui > 1 and (ut[ui + 1] - ut[ui]) * (lk - ux[ui]) - (ux[ui + 1] - ux[ui]) * (tk - ut[ui]) > 0.0:
+                ui += 1
+                vt.append(ut[ui])
+                vx.append(ux[ui])
+            lt[li], lx[li] = ut[ui], ux[ui]
+        lt.append(tk)
+        lx.append(lk)
+    # the free end; np.interp holds the last vertex flat up to t_K
+    j = min(range(ui, len(ux)), key=ux.__getitem__)
+    if ux[j] < vx[-1]:
+        vt += ut[ui + 1 : j + 1]
+        vx += ux[ui + 1 : j + 1]
+    else:
+        j = max(range(li, len(lx)), key=lx.__getitem__)
+        vt += lt[li + 1 : j + 1]
+        vx += lx[li + 1 : j + 1]
     return np.interp(t, vt, vx)
 
 
 def _box_phase(ball: _Ball):
     """Exact energy minimiser y over the box, with its energies up to the
-    points phi, the iterations (one per knot the string-pulling pass
-    processes) and its KKT residual (the projected gradient of E(theta)).
+    points phi, the iterations (one per gate the string-pulling pass
+    processes: K) and its KKT residual (the projected gradient of E(theta)).
 
-    The free end is handled by reflecting the corridor about theta and
-    pinning both ends to 0: by uniqueness the optimum is symmetric, and its
-    first half is the free-end optimum. Stretched time runs at w_0/w_k on
-    segment k, so full segments last 1 and a partial last one longer.
+    Stretched time runs at w_0/w_k on segment k, so full segments last 1
+    and a partial last one longer; the free end at theta is settled in
+    closed form by :func:`_taut_string`.
     """
     K = ball.K
-    if 2 * K > MAX_ITER:
+    if K > MAX_ITER:
         raise ConvergenceError(math.inf, MAX_ITER)
     y = np.empty(0)
     if K:
-        times = np.concatenate([[0.0], np.cumsum(ball.w[0] / ball.w)])
-        t = np.concatenate([times, 2.0 * times[K] - times[K - 1 :: -1]])
-        gate_lo = np.concatenate([[0.0], ball.lo, ball.lo[:-1][::-1], [0.0]])
-        gate_hi = np.concatenate([[0.0], ball.hi, ball.hi[:-1][::-1], [0.0]])
+        t = np.concatenate([[0.0], np.cumsum(ball.w[0] / ball.w)])
+        gate_lo = np.concatenate([[0.0], ball.lo])
+        gate_hi = np.concatenate([[0.0], ball.hi])
         string = _taut_string(t.tolist(), gate_lo.tolist(), gate_hi.tolist())
-        y = np.clip(string[1 : K + 1], ball.lo, ball.hi)
+        y = np.clip(string[1:], ball.lo, ball.hi)
     d = np.diff(y, prepend=0.0)
     e = np.append(np.cumsum(0.5 * ball.n * d * d)[: len(ball.phi) - 1], ball.w @ (d * d))
     grad = 2.0 * ball.w * d
     grad[:-1] -= grad[1:]
     residual = float(np.max(np.abs(y - np.clip(y - grad, ball.lo, ball.hi)), initial=0.0))
-    return y, e, 2 * K, residual
+    return y, e, K, residual
 
 
 def _report(ball: _Ball, y: np.ndarray, iterations: int, residual: float, value: float, rm=None) -> RateReport:

@@ -2,9 +2,9 @@
 
 The harness calls the program through module attributes, reads spine
 diagnostics and private fields, and wraps public names in timed spans. One
-small natural and one small guided replicate go through its workloads with
-the spans installed, so an edit to ``src/`` that would break
-``perfbench/run.py --trace 1`` fails here.
+small natural replicate, one small guided replicate and one round of ball
+queries go through its workloads with the spans installed, so an edit to
+``src/`` that would break ``perfbench/run.py --trace 1`` fails here.
 """
 
 import json
@@ -54,3 +54,28 @@ def test_one_natural_and_one_guided_replicate_run_traced(harness, tmp_path):
     metrics = spans.per_layer_metrics(tracer, 0.0)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(metrics)
+
+
+def test_one_rate_round_counts_one_iteration_per_gate(harness, tmp_path):
+    spans, workloads = harness
+    from bbmlab import rate
+
+    original = rate.max_rate_over_ball
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        wl = workloads.WORKLOADS["rate"](0, tmp_path)
+        rec = workloads.Recorder(tracer)
+        wl.run_round(0, rec)
+    finally:
+        restore()
+    assert rate.max_rate_over_ball is original
+    assert [op.failed for op in rec.ops] == [""] * len(wl.queries)
+    # the string-pulling pass takes one step per gate: K = theta*n per line ball
+    c = tracer.counters
+    for n in (64, 256):
+        gates = sum(round(q.theta * n) for _, _, q in wl.queries if q.resolution == n)
+        assert c[f"rate.max_rate_over_ball.n{n}.iterations"] == gates
+        assert c[f"rate.max_rate_over_ball.n{n}.queries"] == 4
+    metrics = spans.per_layer_metrics(tracer, 0.0)
+    assert metrics["rate.max_rate_over_ball.n64.iterations"][0] == 224

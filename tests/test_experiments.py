@@ -191,8 +191,12 @@ def test_run_martingale_grid_path_skips_smooth_only_checks(tmp_path):
                       replicates=30, spine_replicates=5)
     report = run_martingale_suite(cfg, tmp_path)
     skip_names = {c.name for c in report.checks if c.status == "skip"}
-    assert any("integral_bound" in n for n in skip_names)
-    assert any("spine" in n for n in skip_names)
+    assert skip_names == {"integral_bound", "count_bound", "spine_envelope"}
+    # the guided simulation follows a grid path: its checks run
+    ran = {c.name.split("[")[0] for c in report.checks if c.status != "skip"}
+    assert {"spine_gap_law", "spine_offspring_law", "spine_in_tube", "spine_clamp_rate",
+            "decomposition_vs_martingale", "cross_measure"} <= ran
+    assert (tmp_path / "spine.csv").exists()
 
 
 def test_envelope_skipped_when_start_slope_nonzero(tmp_path):

@@ -1,4 +1,6 @@
 import math
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +77,75 @@ def rounding_bound(argmax_values, n, spacing):
     return float(np.sum(0.5 * n * spacing * (2.0 * d + spacing)))
 
 
+def scalar_extinction_grid(path, rm):
+    """Knot-by-knot scan for the first down-crossing of rm*phi - E(phi) on
+    a grid path; the vectorised scan must agree with it bit for bit."""
+    n = path.n
+    h = 1.0 / n
+    prof = path.energy_profile()
+    slopes = path.slopes
+    for k in range(n):
+        g_k = rm * (k * h) - prof[k]
+        slope = rm - 0.5 * slopes[k] ** 2
+        if slope < 0.0:
+            root = k * h - g_k / slope
+            if root < (k + 1) * h or math.isclose(root, (k + 1) * h):
+                if g_k + slope * h < 0.0:
+                    return float(root)
+    return math.inf
+
+
+def pinned_taut_string(t, lo, hi):
+    """String pulling with both ends pinned (lo_0 = hi_0, lo_N = hi_N), on
+    deques of (t, x) points."""
+
+    def cross(o, a, b):  # > 0 iff the slope from o to b exceeds the slope from o to a
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    apex = (t[0], lo[0])
+    vertices = [apex]
+    upper, lower = deque([apex]), deque([apex])
+    for tk, lk, hk in zip(t[1:], lo[1:], hi[1:]):
+        for point, chain, other, side in (((tk, hk), upper, lower, 1.0), ((tk, lk), lower, upper, -1.0)):
+            while len(chain) > 1 and side * cross(chain[-2], chain[-1], point) <= 0.0:
+                chain.pop()
+            if len(chain) == 1:
+                while len(other) > 1 and side * cross(other[0], other[1], point) < 0.0:
+                    other.popleft()
+                    vertices.append(other[0])
+                chain[0] = other[0]
+            chain.append(point)
+    vertices.extend(list(upper)[1:])
+    vt, vx = zip(*vertices)
+    return np.interp(t, vt, vx)
+
+
+def reflected_box_phase(ball):
+    """The box minimiser by reflection: mirror the corridor about theta, pin
+    both ends to 0 and keep the first half of the symmetric optimum. A
+    stand-in for ``rate._box_phase`` that counts 2K iterations."""
+    K = ball.K
+    y = np.empty(0)
+    if K:
+        times = np.concatenate([[0.0], np.cumsum(ball.w[0] / ball.w)])
+        t = np.concatenate([times, 2.0 * times[K] - times[K - 1 :: -1]])
+        gate_lo = np.concatenate([[0.0], ball.lo, ball.lo[:-1][::-1], [0.0]])
+        gate_hi = np.concatenate([[0.0], ball.hi, ball.hi[:-1][::-1], [0.0]])
+        string = pinned_taut_string(t.tolist(), gate_lo.tolist(), gate_hi.tolist())
+        y = np.clip(string[1 : K + 1], ball.lo, ball.hi)
+    d = np.diff(y, prepend=0.0)
+    e = np.append(np.cumsum(0.5 * ball.n * d * d)[: len(ball.phi) - 1], ball.w @ (d * d))
+    grad = 2.0 * ball.w * d
+    grad[:-1] -= grad[1:]
+    residual = float(np.max(np.abs(y - np.clip(y - grad, ball.lo, ball.hi)), initial=0.0))
+    return y, e, 2 * K, residual
+
+
+def reflected_max_rate(query, rm):
+    with mock.patch.object(rate, "_box_phase", reflected_box_phase):
+        return rate.max_rate_over_ball(query, rm)
+
+
 # ---------------------------------------------------------------------------
 # closed-form values
 # ---------------------------------------------------------------------------
@@ -105,6 +176,24 @@ def test_extinction_theta_smooth():
 grid_paths = st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=11).map(
     lambda vals: GridPath([0.0] + vals)
 )
+
+
+knot_values = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=-12, max_value=12).map(lambda k: k / 4),  # exact slopes and ties
+    st.floats(min_value=-1e150, max_value=1e150),  # far beyond any rm
+)
+
+
+@given(
+    st.lists(knot_values, min_size=1, max_size=40).map(lambda vals: GridPath([0.0] + vals)),
+    st.one_of(st.floats(min_value=0.01, max_value=5.0), st.sampled_from([0.5, 1.0, 2.0, 4.5])),
+)
+@settings(max_examples=300, deadline=None)
+def test_vectorised_extinction_scan_matches_the_knot_loop(path, rm):
+    got = rate.extinction_theta(path, rm)
+    want = scalar_extinction_grid(path, rm)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @given(grid_paths, st.floats(min_value=0.1, max_value=3.0))
@@ -279,7 +368,7 @@ def test_line_balls_match_closed_form(n, slope, eps, theta):
     x = np.asarray(rep.argmax)
     s = np.arange(n + 1) / n
     assert x[0] == 0.0 and np.all(np.abs(x - slope * s) <= eps + 1e-12)
-    assert rep.iterations == 2 * round(theta * n)
+    assert rep.iterations == round(theta * n)
     if expected == -math.inf:
         assert rep.ball_value == -math.inf
     else:
@@ -345,6 +434,63 @@ def test_ball_argmax_meets_prefixes_or_certifies_extinction(values, eps, theta, 
     assert least > rm * phi_star
     if n <= 4 and theta == 1.0:
         assert lattice_search(q, rm)[0] == -math.inf
+
+
+def random_center(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    s = np.arange(n + 1) / n
+    if kind == "walk":
+        scale = rng.uniform(0.05, 1.0) / math.sqrt(n)
+        return GridPath(np.concatenate([[0.0], np.cumsum(rng.normal(0.0, scale, n))]))
+    if kind == "line":
+        return GridPath(rng.uniform(-3.0, 3.0) * s)
+    if kind == "lattice":  # collinear gate ends and exact ties
+        return GridPath(np.concatenate([[0.0], rng.integers(-3, 4, n) / 4]))
+    return GridPath(rng.uniform(0.2, 2.0) * np.sin(rng.uniform(1.0, 20.0) * s))
+
+
+@given(
+    st.sampled_from(["walk", "line", "sine", "lattice"]),
+    st.integers(min_value=1, max_value=256),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.005, max_value=1.5),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.2, max_value=3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_forward_pass_matches_the_reflected_corridor(kind, n, seed, eps, theta, rm):
+    q = rate.BallQuery(random_center(kind, n, seed), eps, theta, n)
+    rep = rate.max_rate_over_ball(q, rm)
+    ref = reflected_max_rate(q, rm)
+    assert np.max(np.abs(np.subtract(rep.argmax, ref.argmax))) <= 1e-12
+    assert rep.ball_value == ref.ball_value
+    assert rep.iterations == ref.iterations // 2 == rate._Ball(q).K
+
+
+# One ball for each way the string leaves the open funnel after the last
+# gate; each argmax is (0, -0.7, -1.4, -1.4, -1.4) or its mirror image.
+@pytest.mark.parametrize(
+    "values, eps, expected",
+    [
+        # the upper chain dips to its lowest vertex, the top of gate 2, and
+        # the apex stays at the origin: every later bottom lies below the
+        # line through it
+        ((0.0, -1.0, -2.9, -1.5, -1.6), 1.5, (0.0, -0.7, -1.4, -1.4, -1.4)),
+        # the mirror image: the lower chain rises to the bottom of gate 2
+        ((0.0, 1.0, 2.9, 1.5, 1.6), 1.5, (0.0, 0.7, 1.4, 1.4, 1.4)),
+        # the bottom of gate 3 fixes the top of gate 2 as the apex, and
+        # neither chain leaves its level: flat from the apex
+        ((0.0, -1.0, -2.0, -1.0, -1.4), 0.6, (0.0, -0.7, -1.4, -1.4, -1.4)),
+    ],
+    ids=["upper-chain-dips", "lower-chain-rises", "flat-from-apex"],
+)
+def test_free_end_finishes(values, eps, expected):
+    q = rate.BallQuery(GridPath(values), eps, 1.0, 4)
+    rep = rate.min_energy_over_ball(q)
+    assert rep.argmax == pytest.approx(expected, abs=1e-12)
+    assert rep.ball_value == pytest.approx(0.5 * 4 * 2 * 0.7**2, abs=1e-12)
+    assert rep.iterations == 4 and rep.residual <= 1e-12
+    assert rep.argmax == reflected_max_rate(q, 1.0).argmax
 
 
 def test_budget_caps_iterations(monkeypatch):
