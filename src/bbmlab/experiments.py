@@ -185,6 +185,16 @@ def run_pgf_bound(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunR
 # martingale suite
 # ---------------------------------------------------------------------------
 
+def _spine_inside(wf: spine.WeightedForest, t: float) -> bool:
+    """Whether the spine (rows 0..S-1) is strictly inside its tube at every
+    recorded point up to time t: births, grid times and deaths."""
+    f, tube = wf.forest, wf.tube
+    rows = counting.SeriesBlock(f, counting.series_starts(f), 0, len(wf.spine.pids))
+    keep = rows.times <= t + 1e-9 * f.grid.dt
+    centre = tube.center(np.minimum(rows.times[keep], tube.horizon))
+    return bool(np.all(np.abs(rows.positions[keep] - centre) < tube.radius))
+
+
 def _quarter_times(cfg: ExperimentConfig) -> list[float]:
     grid = cfg.grid()
     t_end = cfg.theta * cfg.horizon
@@ -280,9 +290,8 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         broods.extend(wf.spine.offspring)
         steps_total += wf.spine.n_steps
         clamps_total += wf.spine.n_clamped
-        w = wf.weights()
-        pids = np.asarray(wf.spine.pids)
-        in_tube_ok &= bool(np.all(w.membership.first_exit[pids] > np.minimum(wf.forest.t_death[pids], t_end)))
+        w = wf.weights(TubeMembership(wf.forest, tube, bridge=cfg.bridge_correction))
+        in_tube_ok &= _spine_inside(wf, t_end)
         z_q = w.martingale_at(t_end)
         decomp = spine.spine_decomposition(wf, t_end)
         diffs.append(z_q - decomp)

@@ -8,22 +8,24 @@ Bernoulli approximations, and Gaussian increments are exact at any spacing, so
 the recorded skeleton carries no time-discretisation bias; only tube
 membership between recorded times does (see `counting`).
 
-The simulator advances one whole generation per step. For a generation of n
-particles it makes exactly three draws, which define the random streams:
-``exponential(1/r, n)`` for the lifetimes, one ``standard_normal`` call for
-all k_i + 1 increments of every particle (k_i recorded grid times; the
-increments run birth -> first grid time, grid step by grid step, last grid
-time -> death), and one offspring draw for the particles not censored at the
-horizon (none for a point-mass law). Ids are breadth-first from the seed,
-the order a FIFO queue of particles would give.
+The simulator advances one whole generation per step from an array of seeds.
+For a generation of n particles it makes exactly three draws, which define
+the random streams: ``exponential(1/r, n)`` for the lifetimes, one
+``standard_normal`` call for all k_i + 1 increments of every particle (k_i
+recorded grid times; the increments run birth -> first grid time, grid step
+by grid step, last grid time -> death), and one offspring draw for the
+particles not censored at the horizon (none for a point-mass law). Ids are
+breadth-first from the seeds, the order a FIFO queue of particles would give.
 
 Storage is columnar (one numpy array per field across all particles) because
 analysis passes are vectorised over the whole forest; `ParticleRecord` is a
 per-particle view for callers who want one particle at a time. Particle ids
 are assigned in creation order, so a parent always precedes its children.
-`propagate`, the one routine that inherits a value along lineages, relies on
-that invariant (``parent[i] < i``): it makes every particle reachable from a
-root, one generation at a time.
+The builder also keeps ``gen_off``: row offsets of blocks in which every
+row's parent comes before the block's first row (one block per generation of
+each `grow`, one per row added on its own). `propagate`, the one routine
+that inherits a value along lineages, relies on it: one vectorised step per
+block finds every parent's value already final.
 """
 
 from __future__ import annotations
@@ -75,42 +77,29 @@ class ParticleRecord:
     positions: np.ndarray
 
 
+@dataclass(eq=False, repr=False)
 class Forest:
-    """Columnar genealogy of one simulated replicate."""
+    """Columnar genealogy of one simulated replicate: one array per field
+    across all particles, ``xs_flat`` their grid positions back to back
+    (particle i owns xs_flat[xs_off[i]:xs_off[i+1]]) and ``gen_off`` the
+    builder's block offsets (see the module docstring)."""
 
-    def __init__(
-        self,
-        params: ModelParams,
-        grid: TimeGrid,
-        horizon: float,
-        parent: np.ndarray,
-        t_birth: np.ndarray,
-        t_death: np.ndarray,
-        n_offspring: np.ndarray,
-        x_birth: np.ndarray,
-        x_death: np.ndarray,
-        grid_lo: np.ndarray,
-        xs_flat: np.ndarray,
-        xs_off: np.ndarray,
-        raw_lifetimes: np.ndarray,
-        capped: bool,
-        stream: RngStream,
-    ):
-        self.params = params
-        self.grid = grid
-        self.horizon = horizon
-        self.parent = parent
-        self.t_birth = t_birth
-        self.t_death = t_death
-        self.n_offspring = n_offspring
-        self.x_birth = x_birth
-        self.x_death = x_death
-        self.grid_lo = grid_lo
-        self.xs_flat = xs_flat
-        self.xs_off = xs_off
-        self.raw_lifetimes = raw_lifetimes
-        self.capped = capped
-        self.stream = stream
+    params: ModelParams
+    grid: TimeGrid
+    horizon: float
+    parent: np.ndarray
+    gen_off: np.ndarray
+    t_birth: np.ndarray
+    t_death: np.ndarray
+    n_offspring: np.ndarray
+    x_birth: np.ndarray
+    x_death: np.ndarray
+    grid_lo: np.ndarray
+    xs_flat: np.ndarray
+    xs_off: np.ndarray
+    raw_lifetimes: np.ndarray
+    capped: bool
+    stream: RngStream
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -167,31 +156,34 @@ class _Builder:
         self.horizon = float(horizon)
         self.cap = cap
         self.chunks = []
+        self.gen_off = [0]
         self.rows = 0
         self.capped = False
 
-    def add_chunk(self, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life):
+    def add_chunk(self, parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life, blocks):
         """One row per entry of ``parent``, with ids from ``rows`` on; ``xs``
         holds the rows' grid positions back to back, ``n_grid`` of them per
-        row."""
+        row. ``blocks`` are the sizes of consecutive runs of rows whose
+        parents all come before the run."""
         self.chunks.append((parent, b, d, n_off, xb, xd, lo, xs, n_grid, raw_life))
+        self.gen_off.extend((self.rows + np.cumsum(blocks)).tolist())
         self.rows += len(parent)
         if self.rows >= self.cap:
             self.capped = True
 
-    def grow(self, b: float, x: float, parent: int, params: ModelParams, rng: np.random.Generator) -> None:
-        """Expand a seed (child of ``parent``, born at time b at position x)
-        under the natural law one generation per step; ids are breadth-first,
-        as a FIFO queue would give them. A generation that would pass ``cap``
-        is cut to its first seeds. Positions wait for the genealogy: one pass
-        over all generations turns the drawn normals into paths."""
-        if self.capped:
+    def grow(self, b, x, parent, params: ModelParams, rng: np.random.Generator) -> None:
+        """Expand the seeds (arrays: children of ``parent``, born at times b
+        at positions x) under the natural law one generation per step; ids
+        are breadth-first, as a FIFO queue would give them. A generation that
+        would pass ``cap`` is cut to its first seeds. Positions wait for the
+        genealogy: one pass over all generations turns the drawn normals into
+        paths."""
+        if self.capped or not len(b):
             return
         dt, horizon = self.grid.dt, self.horizon
         inv_r = 1.0 / params.r
         first_row = rows = self.rows
         gens, draws = [], []
-        b, parent = np.array([b], dtype=np.float64), np.array([parent])
         while len(b) and rows < self.cap:
             n = min(len(b), self.cap - rows)
             b, parent = b[:n], parent[:n]
@@ -227,9 +219,10 @@ class _Builder:
         base = np.zeros(len(b))
         base[1:] = path[last[:-1]]
         path -= np.repeat(base, k + 1)
-        # a generation starts where its parents died; a parent's row in this
-        # call is its id less the seed's
-        xb, xd = np.full(len(b), float(x)), path[last]
+        # the seeds start at x, a later generation where its parents died; a
+        # parent's row in this call is its id less the first row's
+        xb, xd = np.empty(len(b)), path[last]
+        xb[: sizes[0]] = x[: sizes[0]]
         lo = 0
         for size in sizes:
             hi = lo + size
@@ -240,7 +233,7 @@ class _Builder:
         path += np.repeat(xb, k + 1)
         on_grid = np.ones(len(path), dtype=bool)
         on_grid[last] = False
-        self.add_chunk(parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life)
+        self.add_chunk(parent, b, d, n_off, xb, xd, i0, path[on_grid], k, life, sizes)
 
     def finish(self, params: ModelParams, stream: RngStream) -> Forest:
         """The rows as a forest. A single chunk is used as it is, without a
@@ -258,6 +251,7 @@ class _Builder:
             grid=self.grid,
             horizon=self.horizon,
             parent=parent,
+            gen_off=np.array(self.gen_off, dtype=np.int64),
             t_birth=b,
             t_death=d,
             n_offspring=n_off,
@@ -285,7 +279,7 @@ def simulate_forest(
     estimators by the callers."""
     horizon = grid.T if horizon is None else float(horizon)
     builder = _Builder(grid, horizon, cap)
-    builder.grow(0.0, 0.0, -1, params, stream.generator())
+    builder.grow(np.zeros(1), np.zeros(1), np.array([-1]), params, stream.generator())
     return builder.finish(params, stream)
 
 
@@ -366,17 +360,13 @@ def lineage_grid_positions(forest: Forest, pid: int, t: float) -> np.ndarray:
 
 def propagate(forest: Forest, own: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """Inherit ``own`` along lineages: out[i] = ufunc(out[parent[i]], own[i]),
-    roots keep own[i]; one vectorised step per generation, found from
-    ``parent`` alone."""
+    roots keep own[i]; one vectorised step per block of ``gen_off``, whose
+    rows' parents are all final by then."""
     out = np.array(own, dtype=np.float64)
-    parent = forest.parent
-    has_parent = parent >= 0
-    ids = np.flatnonzero(~has_parent)
-    while len(ids):
-        in_generation = np.zeros(len(parent), dtype=bool)
-        in_generation[ids] = True
-        ids = np.flatnonzero(has_parent & in_generation[parent])
-        out[ids] = ufunc(out[parent[ids]], own[ids])
+    parent, off = forest.parent, forest.gen_off.tolist()
+    for lo, hi in zip(off[:-1], off[1:]):
+        p = parent[lo:hi]
+        ufunc(out[p], own[lo:hi], out=out[lo:hi], where=p >= 0)
     return out
 
 

@@ -278,12 +278,12 @@ def simulate_guided(
 ) -> WeightedForest:
     """Simulate one replicate under the spine-transformed law.
 
-    The spine's genealogy (gap, brood and child choice per branch) is drawn
-    from ``stream.split(0)`` and its path from ``stream.split(0, 1)``; each
-    sibling spawned at a spine branch seeds an independent natural-law
-    sub-forest with a stream of its own, so neither subtree sizes nor the
-    path perturb the spine's branching. The spine's chosen child is added
-    after its siblings' subtrees.
+    The whole spine comes first, as rows 0..S-1: its genealogy (gap, brood
+    and child choice per branch) is drawn from ``stream.split(0)`` and its
+    path from ``stream.split(0, 1)``. Then every sibling spawned at a spine
+    branch seeds one natural-law `grow` on ``stream.split(1)``, so neither
+    subtree sizes nor the path perturb the spine's branching. A capped
+    replicate keeps its whole spine; its subtrees are cut at ``cap``.
     """
     if abs(tube.horizon - grid.T) > 1e-9 * max(1.0, grid.T):
         raise ValueError("tube horizon and recording grid horizon must agree")
@@ -295,41 +295,31 @@ def simulate_guided(
     biased = size_biased(params.offspring)
     spine_rate = (params.m + 1.0) * params.r
     stats = [0]  # proposals
-    pids, births, broods, gaps, choices = [], [], [], [], []
-    sibling_counter = 0
+    rows, births, broods, gaps, choices = [], [], [], [], []
     t, x, y = 0.0, 0.0, 0.0
-    parent = -1
     while True:
         gap = genealogy.exponential(1.0 / spine_rate)
         gaps.append(gap)
         censored = t + gap >= T
         d = T if censored else t + gap
         i0, ys, y = _spine_piece(y, t, d, dt, R, path_rng, stats)
-        xs = ys + centre_grid[i0 : i0 + len(ys)]
         xd = y + tube.center(d)
         brood = -1 if censored else sample_offspring(biased, genealogy)
-        pid = builder.rows
-        builder.add_chunk([parent], [t], [d], [brood], [x], [xd], [i0], xs, [len(xs)], [gap])
-        pids.append(pid)
+        rows.append((t, d, brood, x, xd, i0, ys + centre_grid[i0 : i0 + len(ys)], len(ys), gap))
         if censored:
             break
         births.append(d)
         broods.append(brood)
-        chosen = int(genealogy.integers(brood))
-        choices.append(chosen)
-        for j in range(brood):
-            if j == chosen:
-                continue
-            sib = stream.split(1 + sibling_counter)
-            sibling_counter += 1
-            builder.grow(d, xd, pid, params, sib.generator())
-            if builder.capped:
-                break
-        if builder.capped:
-            break
-        parent, t, x = pid, d, xd
+        choices.append(int(genealogy.integers(brood)))
+        t, x = d, xd
+    S = len(rows)
+    b, d, n_off, xb, xd, lo, xs, n_grid, life = zip(*rows)
+    builder.add_chunk(np.arange(S) - 1, b, d, n_off, xb, xd, lo, np.concatenate(xs), n_grid, life, [1] * S)
+    siblings = np.asarray(broods, dtype=np.int64) - 1
+    builder.grow(np.repeat(births, siblings), np.repeat(xd[:-1], siblings),
+                 np.repeat(np.arange(S - 1), siblings), params, stream.split(1).generator())
     record = SpineRecord(
-        pids=tuple(pids),
+        pids=tuple(range(S)),
         birth_times=tuple(births),
         offspring=tuple(broods),
         gap_draws=tuple(gaps),

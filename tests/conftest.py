@@ -13,6 +13,25 @@ def make_params(r=1.0, law=DYADIC):
     return ModelParams(r, law)
 
 
+def block_offsets(parent):
+    """Offsets of the maximal runs of rows whose parents all come before the
+    run's first row, the ``gen_off`` of a forest with this genealogy."""
+    off = [0]
+    for i, p in enumerate(parent):
+        if p >= off[-1]:
+            off.append(i)
+    return np.array(off + [len(parent)], dtype=np.int64)
+
+
+def assert_gen_off_valid(forest):
+    """``gen_off`` runs from 0 to the forest's length in nonempty blocks, and
+    every row's parent comes before its block."""
+    off = forest.gen_off
+    assert off[0] == 0 and off[-1] == len(forest) and np.all(np.diff(off) > 0)
+    for lo, hi in zip(off[:-1], off[1:]):
+        assert np.all(forest.parent[lo:hi] < lo)
+
+
 def synth_forest(params, grid, specs, horizon=None):
     """Hand-built forest for exact membership and weight tests.
 
@@ -41,6 +60,7 @@ def synth_forest(params, grid, specs, horizon=None):
         grid=grid,
         horizon=horizon,
         parent=np.array(cols["parent"], dtype=np.int64),
+        gen_off=block_offsets(cols["parent"]),
         t_birth=np.array(cols["b"], dtype=float),
         t_death=np.array(cols["d"], dtype=float),
         n_offspring=np.array(cols["n"], dtype=np.int64),

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from bbmlab import spine
 from bbmlab.config import DEFAULT_TOLERANCES, ExperimentConfig, build_path, load_config
+from bbmlab.counting import TubeMembership
 from bbmlab.experiments import (
+    _S_SPINE,
     counterexample_log_value,
     counterexample_mean_log_rate,
     counterexample_mean_measure,
@@ -19,6 +22,7 @@ from bbmlab.experiments import (
     run_rate_query,
     run_simulate,
 )
+from bbmlab.model import RngStream
 from bbmlab.paths import GridPath, SmoothPath
 from bbmlab.reporting import CheckResult, RunReport, fmt, write_summary
 
@@ -184,6 +188,23 @@ def test_run_martingale_suite_structure(tmp_path):
     assert (tmp_path / "spine.csv").exists()
     header = (tmp_path / "spine.csv").read_text().splitlines()[0]
     assert header == "replicate,t,martingale,spine_decomposition,clamp_count,in_tube_count"
+
+
+def test_guided_martingale_reads_the_bridge_corrected_membership(tmp_path):
+    # with the bridge correction on, the guided block's Z comes from a
+    # bridge-corrected membership, as the spine decomposition it is compared
+    # with assumes; on recorded points alone it would come out larger
+    cfg = tiny_config(replicates=2, spine_replicates=1, bound_sweep_replicates=1, tail_replicates=2,
+                      cross_replicates=2)
+    run_martingale_suite(cfg, tmp_path)
+    row = (tmp_path / "spine.csv").read_text().splitlines()[1].split(",")
+    tube = cfg.tube()
+    wf = spine.simulate_guided(cfg.model_params(), tube, cfg.grid(),
+                               stream=RngStream(cfg.seed, (_S_SPINE,)).split(0), cap=cfg.cap)
+    mem = TubeMembership(wf.forest, tube, bridge=True)
+    z = spine.TubeWeights(wf.forest, tube, mem).martingale_at(tube.t_end)
+    assert float(row[2]) == z
+    assert z != spine.TubeWeights(wf.forest, tube).martingale_at(tube.t_end)
 
 
 def test_run_martingale_grid_path_skips_smooth_only_checks(tmp_path):

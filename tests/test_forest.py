@@ -22,7 +22,7 @@ from bbmlab.forest import (
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid
 from bbmlab.paths import SmoothPath, Tube
 
-from conftest import make_params
+from conftest import assert_gen_off_valid, block_offsets, make_params
 
 
 def census(forest, t):
@@ -235,6 +235,8 @@ def test_forest_invariants(law, T, steps, horizon_frac, cap, seed):
     assert parent[0] == -1
     assert np.all((parent[1:] >= 0) & (parent[1:] < np.arange(1, n)))
     assert np.all(np.diff(parent[1:]) >= 0)
+    # one block per generation, each after all its parents
+    assert_gen_off_valid(forest)
     # a child starts exactly where and when its parent died
     assert forest.t_birth[1:].tobytes() == forest.t_death[parent[1:]].tobytes()
     assert forest.x_birth[1:].tobytes() == forest.x_death[parent[1:]].tobytes()
@@ -275,8 +277,8 @@ def bare_forest(parent):
     n = len(parent)
     zeros = np.zeros(n)
     ints = np.zeros(n, dtype=np.int64)
-    return Forest(None, None, 0.0, np.asarray(parent, dtype=np.int64), zeros, zeros, ints,
-                  zeros, zeros, ints, np.empty(0), np.zeros(n + 1, dtype=np.int64), zeros,
+    return Forest(None, None, 0.0, np.asarray(parent, dtype=np.int64), block_offsets(parent), zeros,
+                  zeros, ints, zeros, zeros, ints, np.empty(0), np.zeros(n + 1, dtype=np.int64), zeros,
                   False, RngStream(0))
 
 
@@ -303,8 +305,8 @@ def test_propagate_matches_reference_loop(parent, ufunc, data):
 
 
 def test_lineage_consumers_match_reference_loop(monkeypatch):
-    # a guided forest numbers the spine's children before their subtrees, so
-    # its generations are not contiguous id ranges
+    # a guided forest holds one block per spine row, then the generations of
+    # the one natural-law grow over the spine's siblings
     params = make_params()
     grid = TimeGrid(3.0, 60)
     tube = Tube(SmoothPath.zero(8, "clamped"), 0.5, 1.0, 3.0)

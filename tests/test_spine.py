@@ -24,7 +24,7 @@ from bbmlab.spine import (
     spine_decomposition,
 )
 
-from conftest import make_params, synth_forest
+from conftest import assert_gen_off_valid, make_params, synth_forest
 
 MIXED = OffspringLaw({2: 0.5, 3: 0.5})
 
@@ -439,8 +439,9 @@ def test_spine_genealogy_replays_from_its_own_stream():
 
 
 def test_spine_stream_ignores_subtrees(monkeypatch):
-    # each sibling subtree has its own stream, so growing none of them leaves
-    # the spine's draws, diagnostics and rows exactly as they were
+    # the spine is drawn whole before the subtrees, which have a stream of
+    # their own, so growing none of them leaves the spine's draws,
+    # diagnostics and rows exactly as they were
     params = make_params(law=MIXED)
     grid = TimeGrid(3.0, 60)
     tube = flat_tube(3.0)
@@ -467,9 +468,8 @@ def test_spine_stream_ignores_subtrees(monkeypatch):
 
 def test_capped_guided_forest_has_contiguous_ids():
     # ids are rows in the order they are added, so a capped replicate (its
-    # siblings past the cap and the spine's next particle never added) has
-    # no gaps: parents precede children and each child starts where its
-    # parent died
+    # whole spine, then subtrees cut at the cap) has no gaps: parents precede
+    # children and each child starts where its parent died
     params = make_params(law=MIXED)
     grid = TimeGrid(5.0, 100)
     tube = flat_tube(5.0)
@@ -482,6 +482,40 @@ def test_capped_guided_forest_has_contiguous_ids():
         assert f.t_birth[c].tobytes() == f.t_death[f.parent[c]].tobytes()
         assert f.x_birth[c].tobytes() == f.x_death[f.parent[c]].tobytes()
         assert lineage(f, pids[-1]) == list(pids)
+        assert_gen_off_valid(f)
+
+
+def test_guided_forest_is_its_spine_then_one_grow(monkeypatch):
+    # the spine is rows 0..S-1, one block each; one natural-law grow over
+    # every sibling of the spine adds all the subtrees after it
+    params = make_params(law=MIXED)
+    grid = TimeGrid(3.0, 60)
+    tube = flat_tube(3.0)
+    seeds = []
+    grow = _Builder.grow
+
+    def counted(self, b, *args):
+        seeds.append(len(b))
+        grow(self, b, *args)
+
+    monkeypatch.setattr(_Builder, "grow", counted)
+    for rep in range(5):
+        seeds.clear()
+        wf = simulate_guided(params, tube, grid, stream=RngStream(23, (rep,)))
+        f, s = wf.forest, wf.spine
+        S = len(s.pids)
+        siblings = np.asarray(s.offspring, dtype=np.int64) - 1
+        assert seeds == [int(siblings.sum())]
+        assert s.pids == tuple(range(S)) and len(f) > S
+        assert np.array_equal(f.parent[:S], np.arange(S) - 1)
+        assert np.array_equal(np.bincount(f.parent[S:], minlength=S)[:S], np.append(siblings, 0))
+        for i in range(S, len(f)):
+            # a subtree row's ancestors: a prefix of the spine, then subtree rows
+            chain = lineage(f, i)
+            on_spine = sum(a < S for a in chain)
+            assert on_spine >= 1 and chain[:on_spine] == list(range(on_spine))
+        assert_gen_off_valid(f)
+        assert np.array_equal(f.gen_off[: S + 1], np.arange(S + 1))
 
 
 def test_weights_read_a_given_membership():
