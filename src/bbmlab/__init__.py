@@ -22,6 +22,7 @@ from .spine import (
     WeightedForest,
     additive_martingale,
     simulate_guided,
+    simulate_spine,
     spine_decomposition,
 )
 
@@ -58,5 +59,6 @@ __all__ = [
     "WeightedForest",
     "additive_martingale",
     "simulate_guided",
+    "simulate_spine",
     "spine_decomposition",
 ]

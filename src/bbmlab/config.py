@@ -24,8 +24,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "z_sigma": 3.0,
     # law checks (Kolmogorov-Smirnov / chi-square) pass above this p-value
     "law_alpha": 1e-3,
-    # spine clamp-rate gate (the exact spine sampler never clamps: it reads 0)
-    "clamp_rate_max": 0.01,
     # growth-rate agreement with the optimizer benchmark at the largest horizon
     "growth_abs": 0.15,
     # fraction of empty replicates required for an extinct ball
@@ -119,6 +117,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         self.offspring = {int(k): float(v) for k, v in self.offspring.items()}
         self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
         self.growth_t_sweep = tuple(float(t) for t in self.growth_t_sweep)

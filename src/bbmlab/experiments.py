@@ -185,14 +185,13 @@ def run_pgf_bound(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunR
 # martingale suite
 # ---------------------------------------------------------------------------
 
-def _spine_inside(wf: spine.WeightedForest, t: float) -> bool:
-    """Whether the spine (rows 0..S-1) is strictly inside its tube at every
-    recorded point up to time t: births, grid times and deaths."""
+def _spine_offsets(wf: spine.WeightedForest, t: float) -> np.ndarray:
+    """The spine's (rows 0..S-1) centred positions X - Tf(s/T) at its recorded
+    times s up to t, in time order: births, grid times and deaths."""
     f, tube = wf.forest, wf.tube
     rows = counting.SeriesBlock(f, counting.series_starts(f), 0, len(wf.spine.pids))
     keep = rows.times <= t + 1e-9 * f.grid.dt
-    centre = tube.center(np.minimum(rows.times[keep], tube.horizon))
-    return bool(np.all(np.abs(rows.positions[keep] - centre) < tube.radius))
+    return rows.positions[keep] - tube.center(np.minimum(rows.times[keep], tube.horizon))
 
 
 def _quarter_times(cfg: ExperimentConfig) -> list[float]:
@@ -276,10 +275,10 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         report.add(CheckResult("count_bound", "skip", note="needs a smooth path"))
 
     # -- guided-law block ---------------------------------------------------
-    gaps, broods, diffs = [], [], []
+    gaps, broods, diffs, offsets = [], [], [], []
     spine_rows = []
     in_tube_ok = True
-    steps_total = clamps_total = 0
+    steps_total = 0
     qbase = RngStream(cfg.seed, (_S_SPINE,))
     for rep in range(cfg.spine_replicates):
         wf = spine.simulate_guided(params, tube, grid, stream=qbase.split(rep), cap=cfg.cap)
@@ -289,14 +288,15 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         gaps.extend(wf.spine.gap_draws)
         broods.extend(wf.spine.offspring)
         steps_total += wf.spine.n_steps
-        clamps_total += wf.spine.n_clamped
         w = wf.weights(TubeMembership(wf.forest, tube, bridge=cfg.bridge_correction))
-        in_tube_ok &= _spine_inside(wf, t_end)
+        ys = _spine_offsets(wf, t_end)
+        in_tube_ok &= bool(np.all(np.abs(ys) < tube.radius))
+        offsets.append(float(ys[-1]))  # Y(theta T): t_end is a grid time or T
         z_q = w.martingale_at(t_end)
         decomp = spine.spine_decomposition(wf, t_end)
         diffs.append(z_q - decomp)
         spine_rows.append(
-            (rep, t_end, z_q, decomp, wf.spine.n_clamped, len(w.membership.members_at(t_end)))
+            (rep, t_end, z_q, decomp, offsets[-1], len(w.membership.members_at(t_end)))
         )
     if diffs:
         rate_spine = (params.m + 1.0) * params.r
@@ -336,8 +336,19 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
                     note=f"{len(broods)} births",
                 )
             )
+        # from Y(0) = 0 the centred spine is the taboo process for any centre
+        ks = sstats.kstest(offsets, lambda z: spine.taboo_cdf(z, 0.0, t_end, tube.radius))
+        report.add(
+            CheckResult(
+                "spine_position_law[KS vs taboo law at θT]",
+                "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
+                observed=float(ks.pvalue),
+                benchmark=cfg.tol("law_alpha"),
+                note=f"{len(offsets)} replicates, {steps_total} proposals",
+            )
+        )
     else:
-        for name in ("spine_gap_law", "spine_offspring_law"):
+        for name in ("spine_gap_law", "spine_offspring_law", "spine_position_law"):
             report.add(CheckResult(name, "fail", note=_NO_GUIDED))
     report.add(
         CheckResult(
@@ -346,10 +357,6 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             observed=1.0 if in_tube_ok else 0.0,
             benchmark=1.0,
         )
-    )
-    clamp_rate = clamps_total / steps_total if steps_total else 0.0
-    report.add(
-        check_bound("spine_clamp_rate", clamp_rate, cfg.tol("clamp_rate_max"), note=f"{steps_total} proposals")
     )
     if diffs:
         dmean, dse = _mean_se(diffs)
@@ -372,10 +379,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             env_failures = 0
             n_env = max(cfg.spine_replicates // 2, 1)
             for rep in range(n_env):
-                wf = spine.simulate_guided(params, env_tube, grid, stream=ebase.split(rep), cap=cfg.cap)
-                if wf.forest.capped:
-                    n_capped += 1
-                    continue
+                wf = spine.simulate_spine(params, env_tube, grid, stream=ebase.split(rep))
                 chk = spine.envelope_check(wf, t_end, eta)
                 env_failures += 0 if chk.holds else 1
             report.add(
@@ -468,7 +472,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             sp = out_dir / "spine.csv"
             write_csv(
                 sp,
-                ["replicate", "t", "martingale", "spine_decomposition", "clamp_count", "in_tube_count"],
+                ["replicate", "t", "martingale", "spine_decomposition", "spine_offset", "in_tube_count"],
                 spine_rows,
             )
             report.csv_files.append(sp.name)

@@ -45,7 +45,9 @@ __all__ = [
     "SpineRecord",
     "WeightedForest",
     "TubeWeights",
+    "simulate_spine",
     "simulate_guided",
+    "taboo_cdf",
     "additive_martingale",
     "spine_decomposition",
     "BoundCheck",
@@ -254,6 +256,23 @@ def _taboo_step(y: float, h: float, R: float, rng: np.random.Generator, stats: l
     return y
 
 
+def taboo_cdf(z, y: float, h: float, R: float, n_max: int = 400):
+    """CDF at z of the taboo process on (-R, R) after time h from y, from the
+    eigen-series: the killed heat kernel h-transformed by cos(a z), integrated
+    in closed form. The n = 1 term is the stationary cos^2 law; the n-th is
+    damped by exp(-(n^2 - 1) pi^2 h / (8 R^2))."""
+    L = 2.0 * R
+    om = math.pi / L
+    u, S = y + R, np.asarray(z, dtype=np.float64) + R
+    total = 0.0
+    for n in range(1, n_max + 1):
+        # int_0^S sin(om s) sin(n om s) ds
+        first = S if n == 1 else np.sin((n - 1) * om * S) / ((n - 1) * om)
+        integral = 0.5 * (first - np.sin((n + 1) * om * S) / ((n + 1) * om))
+        total = total + math.exp(-0.5 * (n * n - 1) * om * om * h) * math.sin(n * om * u) * integral
+    return 2.0 / L / math.sin(om * u) * total
+
+
 def _spine_piece(y, b, d, dt, R, rng, stats):
     """Centred spine path over one spine particle's lifetime [b, d] from Y(b) = y:
     the first grid index i0, Y at the grid times i0*dt, ... inside [b, d], and
@@ -269,22 +288,11 @@ def _spine_piece(y, b, d, dt, R, rng, stats):
     return i0, ys, _taboo_step(y, d - t, R, rng, stats)
 
 
-def simulate_guided(
-    params: ModelParams,
-    tube: Tube,
-    grid: TimeGrid,
-    stream: RngStream = RngStream(0),
-    cap: int = DEFAULT_CAP,
-) -> WeightedForest:
-    """Simulate one replicate under the spine-transformed law.
-
-    The whole spine comes first, as rows 0..S-1: its genealogy (gap, brood
-    and child choice per branch) is drawn from ``stream.split(0)`` and its
-    path from ``stream.split(0, 1)``. Then every sibling spawned at a spine
-    branch seeds one natural-law `grow` on ``stream.split(1)``, so neither
-    subtree sizes nor the path perturb the spine's branching. A capped
-    replicate keeps its whole spine; its subtrees are cut at ``cap``.
-    """
+def _spine(params: ModelParams, tube: Tube, grid: TimeGrid, stream: RngStream, cap: int):
+    """The spine of one guided replicate as rows 0..S-1 of a new builder,
+    with its record and the positions where its particles die. Its genealogy
+    (gap, brood and child choice per branch) is drawn from
+    ``stream.split(0)`` and its path from ``stream.split(0, 1)``."""
     if abs(tube.horizon - grid.T) > 1e-9 * max(1.0, grid.T):
         raise ValueError("tube horizon and recording grid horizon must agree")
     T, R, dt = grid.T, tube.radius, grid.dt
@@ -315,18 +323,39 @@ def simulate_guided(
     S = len(rows)
     b, d, n_off, xb, xd, lo, xs, n_grid, life = zip(*rows)
     builder.add_chunk(np.arange(S) - 1, b, d, n_off, xb, xd, lo, np.concatenate(xs), n_grid, life, [1] * S)
-    siblings = np.asarray(broods, dtype=np.int64) - 1
-    builder.grow(np.repeat(births, siblings), np.repeat(xd[:-1], siblings),
-                 np.repeat(np.arange(S - 1), siblings), params, stream.split(1).generator())
-    record = SpineRecord(
-        pids=tuple(range(S)),
-        birth_times=tuple(births),
-        offspring=tuple(broods),
-        gap_draws=tuple(gaps),
-        child_choices=tuple(choices),
-        n_steps=stats[0],
-        n_clamped=0,
-    )
+    record = SpineRecord(tuple(range(S)), tuple(births), tuple(broods), tuple(gaps), tuple(choices), stats[0], 0)
+    return builder, record, xd
+
+
+def simulate_spine(
+    params: ModelParams, tube: Tube, grid: TimeGrid, stream: RngStream = RngStream(0)
+) -> WeightedForest:
+    """The spine alone of the replicate :func:`simulate_guided` draws from the
+    same stream: its rows 0..S-1, float for float. Enough for the readers of
+    the spine only, :func:`spine_decomposition` and :func:`envelope_check`."""
+    builder, record, _ = _spine(params, tube, grid, stream, DEFAULT_CAP)
+    return WeightedForest(builder.finish(params, stream), record, tube)
+
+
+def simulate_guided(
+    params: ModelParams,
+    tube: Tube,
+    grid: TimeGrid,
+    stream: RngStream = RngStream(0),
+    cap: int = DEFAULT_CAP,
+) -> WeightedForest:
+    """Simulate one replicate under the spine-transformed law.
+
+    The whole spine comes first, as rows 0..S-1, drawn as by
+    :func:`simulate_spine`. Then every sibling spawned at a spine branch
+    seeds one natural-law `grow` on ``stream.split(1)``, so neither subtree
+    sizes nor the path perturb the spine's branching. A capped replicate
+    keeps its whole spine; its subtrees are cut at ``cap``.
+    """
+    builder, record, x_death = _spine(params, tube, grid, stream, cap)
+    siblings = np.asarray(record.offspring, dtype=np.int64) - 1
+    builder.grow(np.repeat(record.birth_times, siblings), np.repeat(x_death[:-1], siblings),
+                 np.repeat(np.arange(len(siblings)), siblings), params, stream.split(1).generator())
     return WeightedForest(builder.finish(params, stream), record, tube)
 
 
@@ -337,14 +366,13 @@ def spine_decomposition(wf: WeightedForest, t: float) -> float:
         plus V_spine(t) e^{-rm t}.
     """
     f, s = wf.forest, wf.spine
-    pids = np.asarray(s.pids)
-    alive = pids[f.alive_mask(t)[pids]]
-    if not len(alive):
-        raise ValueError(f"no spine particle alive at t={t}")
+    # spine particle n, born at the last branch up to t, lives to the next (the last to T)
     n = int(np.searchsorted(s.birth_times, t, side="right"))
+    if not 0.0 <= t <= f.t_death[s.pids[n]]:
+        raise ValueError(f"no spine particle alive at t={t}")
     times = np.append(s.birth_times[:n], t)
     factor = np.append(np.asarray(s.offspring[:n]) - 1.0, 1.0)
-    v = wf.weights().values_at(np.append(pids[:n], alive[0]), times)
+    v = wf.weights().values_at(np.asarray(s.pids[: n + 1]), times)
     return float(np.sum(factor * v * np.exp(-f.params.rm * times)))
 
 

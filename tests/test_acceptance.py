@@ -26,6 +26,7 @@ from bbmlab.experiments import (
     run_growth,
     run_many_to_one,
     run_pgf_bound,
+    _spine_offsets,
 )
 from bbmlab.forest import brownian_paths, simulate_forest, simulate_population_sizes
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid, size_biased
@@ -37,7 +38,8 @@ from bbmlab.spine import (
     envelope_eta,
     importance_estimates,
     integral_bound_check,
-    simulate_guided,
+    simulate_spine,
+    taboo_cdf,
 )
 
 from conftest import make_params
@@ -128,23 +130,20 @@ def test_criterion_03_pgf():
 
 
 def test_criterion_04_guided_law_checks():
+    # every check reads the spine alone, so no subtree is simulated
     params = make_params(law=MIXED)
     grid = TimeGrid(6.0, 120)
     tube = Tube(SmoothPath.zero(16, "clamped"), 0.5, 1.0, 6.0)
-    gaps, broods = [], []
-    steps = clamps = 0
+    gaps, broods, ends = [], [], []
     confined = True
     base = RngStream(20260810, (4,))
     for rep in range(800):
-        wf = simulate_guided(params, tube, grid, stream=base.split(rep))
+        wf = simulate_spine(params, tube, grid, stream=base.split(rep))
         gaps.extend(wf.spine.gap_draws)
         broods.extend(wf.spine.offspring)
-        steps += wf.spine.n_steps
-        clamps += wf.spine.n_clamped
-        mem = wf.weights().membership
-        for pid in wf.spine.pids:
-            d = min(wf.forest.t_death[pid], tube.t_end)
-            confined &= bool(mem.first_exit[pid] > d)
+        ys = _spine_offsets(wf, tube.t_end)
+        confined &= bool(np.all(np.abs(ys) < tube.radius))
+        ends.append(ys[-1])
     spine_rate = (params.m + 1.0) * params.r
     ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / spine_rate))
     biased = size_biased(MIXED)
@@ -152,13 +151,13 @@ def test_criterion_04_guided_law_checks():
     observed = np.array([broods.count(k) for k in kvals], dtype=float)
     expected = np.array([p for _, p in biased.pmf]) * len(broods)
     chi = sstats.chisquare(observed, expected)
-    clamp_rate = clamps / steps
-    ok = ks.pvalue > 1e-3 and chi.pvalue > 1e-3 and confined and clamp_rate < 0.01
+    pos = sstats.kstest(ends, lambda z: taboo_cdf(z, 0.0, tube.t_end, tube.radius))
+    ok = ks.pvalue > 1e-3 and chi.pvalue > 1e-3 and confined and pos.pvalue > 1e-3
     report(
         4,
         ok,
         f"gap KS p={ks.pvalue:.4f} ({len(gaps)} draws); offspring chi2 p={chi.pvalue:.4f}; "
-        f"spine confined={confined}; clamp rate {clamp_rate:.2e}",
+        f"spine confined={confined}; position at theta*T KS vs taboo law p={pos.pvalue:.4f}",
     )
 
 
@@ -370,7 +369,7 @@ def test_criterion_08_pathwise_inequalities():
     ebase = RngStream(20260810, (8, 1))
     n_env = 300
     for rep in range(n_env):
-        wf = simulate_guided(params, env_tube, grid, stream=ebase.split(rep))
+        wf = simulate_spine(params, env_tube, grid, stream=ebase.split(rep))
         env_ok &= envelope_check(wf, env_tube.t_end, eta).holds
     ok = bound_ok and lemma7_ok and env_ok
     report(

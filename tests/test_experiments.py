@@ -120,6 +120,10 @@ def test_config_defaults_and_tolerances():
     cfg2 = ExperimentConfig(tolerances={"z_sigma": 4.0})
     assert cfg2.tol("z_sigma") == 4.0
     assert cfg2.tol("law_alpha") == 1e-3
+    # a typo, or a band no check reads any more, is an error, not a no-op
+    for key in ("z_sigmaa", "clamp_rate_max"):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(tolerances={key: 1.0})
 
 
 def test_config_round_trip(tmp_path):
@@ -187,7 +191,7 @@ def test_run_martingale_suite_structure(tmp_path):
     assert (tmp_path / "martingale.csv").exists()
     assert (tmp_path / "spine.csv").exists()
     header = (tmp_path / "spine.csv").read_text().splitlines()[0]
-    assert header == "replicate,t,martingale,spine_decomposition,clamp_count,in_tube_count"
+    assert header == "replicate,t,martingale,spine_decomposition,spine_offset,in_tube_count"
 
 
 def test_guided_martingale_reads_the_bridge_corrected_membership(tmp_path):
@@ -215,7 +219,7 @@ def test_run_martingale_grid_path_skips_smooth_only_checks(tmp_path):
     assert skip_names == {"integral_bound", "count_bound", "spine_envelope"}
     # the guided simulation follows a grid path: its checks run
     ran = {c.name.split("[")[0] for c in report.checks if c.status != "skip"}
-    assert {"spine_gap_law", "spine_offspring_law", "spine_in_tube", "spine_clamp_rate",
+    assert {"spine_gap_law", "spine_offspring_law", "spine_in_tube", "spine_position_law",
             "decomposition_vs_martingale", "cross_measure"} <= ran
     assert (tmp_path / "spine.csv").exists()
 
@@ -267,18 +271,19 @@ def test_run_diagnose_paths(tmp_path):
 
 def test_capped_replicates_are_counted_in_every_block():
     # cap=1 truncates every replicate, natural or guided: each one must be
-    # dropped from its estimator and counted, in every block
+    # dropped from its estimator and counted, in every block. The envelope
+    # block reads spines alone, which a cap cannot cut
     cfg = tiny_config(cap=1, replicates=6, spine_replicates=4, tail_replicates=3,
                       cross_replicates=5, roughness_replicates=3)
     report = run_martingale_suite(cfg)
-    n_envelope = cfg.spine_replicates // 2
-    expected = (cfg.replicates + cfg.spine_replicates + n_envelope + cfg.tail_replicates
+    expected = (cfg.replicates + cfg.spine_replicates + cfg.tail_replicates
                 + 2 * cfg.cross_replicates)  # cross block: direct and guided
     assert report.details["capped_replicates"] == expected
     assert not report.passed
     # the guided-law block had nothing left to test, and says so
     empty = {c.name: c for c in report.checks if c.note == "no uncapped guided replicates"}
-    assert set(empty) == {"spine_gap_law", "spine_offspring_law", "decomposition_vs_martingale"}
+    assert set(empty) == {"spine_gap_law", "spine_offspring_law", "spine_position_law",
+                          "decomposition_vs_martingale"}
     assert all(c.status == "fail" for c in empty.values())
     assert run_diagnose_paths(cfg).details["capped_replicates"] == cfg.roughness_replicates
 

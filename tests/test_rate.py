@@ -33,11 +33,20 @@ def scan_theta0(values, rm, points=100_000, tol=1e-12):
     bisection; independent of the closed-form segment root."""
     phis = np.linspace(0.0, 1.0, points + 1)
     g = lambda p: rm * p - oracle_energy(values, p)
-    gv = np.array([g(p) for p in phis])
+    # oracle_energy at every point at once: the same sums in the same order,
+    # a segment past phi adding 0.0 where the scalar loop stops
+    n = len(values) - 1
+    energy = np.zeros(len(phis))
+    for k in range(n):
+        lo, hi = k / n, (k + 1) / n
+        c = (values[k + 1] - values[k]) * n
+        energy += np.where(phis > lo, 0.5 * c * c * (np.minimum(phis, hi) - lo), 0.0)
+    gv = rm * phis - energy
     neg = np.flatnonzero(gv < 0.0)
     if len(neg) == 0:
         return math.inf
     j = neg[0]
+    assert (gv[j - 1], gv[j]) == (g(phis[j - 1]), g(phis[j]))  # the bracket, as the scalar loop sees it
     lo, hi = phis[j - 1], phis[j]
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -21,7 +21,9 @@ from bbmlab.spine import (
     importance_estimates,
     integral_bound_check,
     simulate_guided,
+    simulate_spine,
     spine_decomposition,
+    taboo_cdf,
 )
 
 from conftest import assert_gen_off_valid, make_params, synth_forest
@@ -261,17 +263,14 @@ def test_guided_spine_confined_and_lawful():
     grid = TimeGrid(4.0, 80)
     tube = flat_tube(4.0)
     gaps, broods = [], []
-    steps = clamps = 0
     for rep in range(250):
-        wf = simulate_guided(params, tube, grid, stream=RngStream(32, (rep,)))
+        wf = simulate_spine(params, tube, grid, stream=RngStream(32, (rep,)))
         w = wf.weights()
         for pid in wf.spine.pids:
             d = min(wf.forest.t_death[pid], tube.t_end)
             assert w.membership.first_exit[pid] > d
         gaps.extend(wf.spine.gap_draws)
         broods.extend(wf.spine.offspring)
-        steps += wf.spine.n_steps
-        clamps += wf.spine.n_clamped
         # genealogy: the spine is a root-to-leaf chain with increasing times
         assert wf.spine.pids[0] == 0
         assert all(s1 < s2 for s1, s2 in zip(wf.spine.birth_times, wf.spine.birth_times[1:]))
@@ -288,7 +287,6 @@ def test_guided_spine_confined_and_lawful():
     observed = np.array([broods.count(k) for k in ks_vals], dtype=float)
     expected = np.array([p for _, p in biased.pmf]) * len(broods)
     assert sstats.chisquare(observed, expected).pvalue > 1e-3
-    assert clamps / steps < 0.01
 
 
 def test_guided_dyadic_gap_mean():
@@ -348,22 +346,6 @@ def killed_kernel(h, u, v, L, n_max=400):
     return 2.0 / L * float(np.sum(np.exp(-0.5 * w * w * h) * np.sin(w * u) * np.sin(w * v)))
 
 
-def taboo_cdf(z, y, h, R, n_max=400):
-    """CDF at z of the taboo process after time h from y, from the eigen-series:
-    the killed kernel h-transformed by cos(a z), integrated in closed form
-    (the n = 1 term carries the stationary cos^2 law)."""
-    L = 2.0 * R
-    om = math.pi / L
-    u, S = y + R, np.asarray(z, dtype=np.float64) + R
-    total = 0.0
-    for n in range(1, n_max + 1):
-        # int_0^S sin(om s) sin(n om s) ds
-        first = S if n == 1 else np.sin((n - 1) * om * S) / ((n - 1) * om)
-        integral = 0.5 * (first - np.sin((n + 1) * om * S) / ((n + 1) * om))
-        total = total + math.exp(-0.5 * (n * om) ** 2 * h) * math.sin(n * om * u) * integral
-    return math.exp(0.5 * om * om * h) / math.sin(om * u) * 2.0 / L * total
-
-
 @pytest.mark.parametrize("h_over_L2", [0.01, 0.2, 1.0])
 def test_bridge_survival_is_the_killed_kernel_over_the_free_one(h_over_L2):
     # at h/L^2 = 1 the images k = +-1 and +-2 both matter
@@ -392,6 +374,9 @@ def test_taboo_step_has_the_eigen_series_law(y0_over_R, h):
     stats = [0]
     zs = np.array([spine._taboo_step(y0, h, R, rng, stats) for _ in range(3000)])
     assert np.all(np.abs(zs) < R)
+    F = taboo_cdf(np.linspace(-R, R, 2001), y0, h, R)
+    assert F[0] == pytest.approx(0.0, abs=1e-12) and F[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(F) >= -1e-12)  # monotone up to the rounding of a 400-term sum
     ks = sstats.kstest(zs, lambda z: taboo_cdf(z, y0, h, R))
     assert ks.pvalue > 1e-3
     # a proposal is accepted with probability e^{-lam h} cos(a y0) (one piece)
@@ -399,6 +384,15 @@ def test_taboo_step_has_the_eigen_series_law(y0_over_R, h):
     if lam * h <= 1.0:
         p = math.exp(-lam * h) * math.cos(math.pi * y0 / (2.0 * R))
         assert abs(stats[0] - 3000 / p) < 4.0 * math.sqrt(3000 * (1.0 - p)) / p
+
+
+@pytest.mark.parametrize("y0_over_R", [0.0, 0.5, -0.99])
+@pytest.mark.parametrize("R", [0.5, 3.0])
+def test_taboo_cdf_settles_to_the_stationary_law(y0_over_R, R):
+    # at h = 50 R^2 the n >= 2 terms are below e^-185: the cos^2 law is left
+    z = np.linspace(-R, R, 201)
+    stationary = (z + R) / (2.0 * R) + np.sin(math.pi * z / R) / (2.0 * math.pi)
+    assert np.max(np.abs(taboo_cdf(z, y0_over_R * R, 50.0 * R * R, R) - stationary)) <= 1e-12
 
 
 def test_taboo_step_of_zero_gap_draws_nothing():
@@ -438,32 +432,32 @@ def test_spine_genealogy_replays_from_its_own_stream():
 # ---------------------------------------------------------------------------
 
 
-def test_spine_stream_ignores_subtrees(monkeypatch):
-    # the spine is drawn whole before the subtrees, which have a stream of
-    # their own, so growing none of them leaves the spine's draws,
-    # diagnostics and rows exactly as they were
-    params = make_params(law=MIXED)
-    grid = TimeGrid(3.0, 60)
-    tube = flat_tube(3.0)
-
-    def spine_view(rows):
-        wf = simulate_guided(params, tube, grid, stream=RngStream(17, (2,)))
-        s, f = wf.spine, wf.forest
-        record = (s.birth_times, s.offspring, s.gap_draws, s.child_choices, s.n_steps, s.n_clamped)
-        return wf, record, [
-            (f.t_birth[i], f.t_death[i], f.n_offspring[i], f.x_birth[i], f.x_death[i],
-             f.grid_lo[i], f.raw_lifetimes[i], f.grid_positions(i).tobytes())
-            for i in rows(wf)
-        ]
-
-    real, record, rows = spine_view(lambda wf: wf.spine.pids)
-    assert len(real.spine.offspring) >= 2 and len(real.forest) > len(real.spine.pids)
-    monkeypatch.setattr(_Builder, "grow", lambda self, *args: None)
-    # with no subtree rows the spine rows are the whole forest, in id order
-    alone, alone_record, alone_rows = spine_view(lambda wf: range(len(wf.forest)))
-    assert len(alone.forest) == len(alone.spine.pids)
-    assert alone_record == record
-    assert alone_rows == rows
+@pytest.mark.parametrize("law", [None, MIXED], ids=["dyadic", "mixed"])
+@pytest.mark.parametrize("kind", ["flat", "line"])
+def test_simulate_spine_is_the_guided_spine(law, kind):
+    # the spine is drawn whole before the subtrees, on streams of its own, so
+    # alone it is the guided replicate's rows 0..S-1 float for float, and the
+    # readers of the spine only give the same values on both
+    params = make_params() if law is None else make_params(law=law)
+    grid = TimeGrid(4.0, 80)
+    tube = flat_tube(4.0) if kind == "flat" else Tube(GridPath.line(0.8, 4), 0.3, 1.0, 4.0)
+    for rep in range(4):
+        stream = RngStream(29, (rep,))
+        alone, whole = simulate_spine(params, tube, grid, stream), simulate_guided(params, tube, grid, stream)
+        a, f, S = alone.forest, whole.forest, len(whole.spine.pids)
+        assert alone.spine == whole.spine and len(a) == S < len(f) and not a.capped
+        for name in ("parent", "t_birth", "t_death", "n_offspring", "x_birth", "x_death", "grid_lo",
+                     "raw_lifetimes", "gen_off", "xs_off"):
+            assert getattr(a, name).tobytes() == getattr(f, name)[: len(getattr(a, name))].tobytes(), name
+        assert a.xs_flat.tobytes() == f.xs_flat[: f.xs_off[S]].tobytes()
+        for t in (0.0, 1.0, 2.35, 4.0):
+            assert spine_decomposition(alone, t) == spine_decomposition(whole, t)
+            if kind == "flat":  # the envelope needs a smooth centre
+                eta = envelope_eta(tube.path, params.rm, 1.0, tube.epsilon)[1]
+                assert envelope_check(alone, t, eta) == envelope_check(whole, t, eta)
+    for t in (-0.1, 4.1):
+        with pytest.raises(ValueError, match="no spine particle alive"):
+            spine_decomposition(alone, t)
 
 
 def test_capped_guided_forest_has_contiguous_ids():
@@ -666,7 +660,7 @@ def test_envelope_holds_per_replicate():
     ok, eta, _ = envelope_eta(parab, params.rm, 1.0, eps)
     assert ok
     for rep in range(60):
-        wf = simulate_guided(params, tube, grid, stream=RngStream(41, (rep,)))
+        wf = simulate_spine(params, tube, grid, stream=RngStream(41, (rep,)))
         chk = envelope_check(wf, tube.t_end, eta)
         assert chk.holds
 
