@@ -376,12 +376,9 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         else:
             env_tube = cfg.tube(epsilon=env_eps)
             ebase = RngStream(cfg.seed, (_S_ENVELOPE,))
-            env_failures = 0
             n_env = max(cfg.spine_replicates // 2, 1)
-            for rep in range(n_env):
-                wf = spine.simulate_spine(params, env_tube, grid, stream=ebase.split(rep))
-                chk = spine.envelope_check(wf, t_end, eta)
-                env_failures += 0 if chk.holds else 1
+            wfs = (spine.simulate_spine(params, env_tube, grid, ebase.split(rep)) for rep in range(n_env))
+            env_failures = sum(not spine.envelope_check(wf, t_end, eta).holds for wf in wfs)
             report.add(
                 CheckResult(
                     "spine_envelope[per replicate]",

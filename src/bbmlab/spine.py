@@ -256,16 +256,16 @@ def _taboo_step(y: float, h: float, R: float, rng: np.random.Generator, stats: l
     return y
 
 
-def taboo_cdf(z, y: float, h: float, R: float, n_max: int = 400):
+def taboo_cdf(z, y: float, h: float, R: float):
     """CDF at z of the taboo process on (-R, R) after time h from y, from the
     eigen-series: the killed heat kernel h-transformed by cos(a z), integrated
-    in closed form. The n = 1 term is the stationary cos^2 law; the n-th is
-    damped by exp(-(n^2 - 1) pi^2 h / (8 R^2))."""
+    in closed form and cut after 400 terms. The n = 1 term is the stationary
+    cos^2 law; the n-th is damped by exp(-(n^2 - 1) pi^2 h / (8 R^2))."""
     L = 2.0 * R
     om = math.pi / L
     u, S = y + R, np.asarray(z, dtype=np.float64) + R
     total = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, 401):
         # int_0^S sin(om s) sin(n om s) ds
         first = S if n == 1 else np.sin((n - 1) * om * S) / ((n - 1) * om)
         integral = 0.5 * (first - np.sin((n + 1) * om * S) / ((n + 1) * om))

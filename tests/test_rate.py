@@ -16,15 +16,14 @@ from bbmlab.paths import GridPath, SmoothPath
 
 
 def oracle_energy(values, phi):
-    """Prefix energy from raw slope arithmetic (no library path code)."""
+    """Prefix energy from raw slope arithmetic (no library path code), at a
+    scalar phi or at every point of an array; a segment past phi adds 0.0."""
     n = len(values) - 1
     total = 0.0
     for k in range(n):
         lo, hi = k / n, (k + 1) / n
-        if phi <= lo:
-            break
         c = (values[k + 1] - values[k]) * n
-        total += 0.5 * c * c * (min(phi, hi) - lo)
+        total = total + np.where(phi > lo, 0.5 * c * c * (np.minimum(phi, hi) - lo), 0.0)
     return total
 
 
@@ -33,20 +32,10 @@ def scan_theta0(values, rm, points=100_000, tol=1e-12):
     bisection; independent of the closed-form segment root."""
     phis = np.linspace(0.0, 1.0, points + 1)
     g = lambda p: rm * p - oracle_energy(values, p)
-    # oracle_energy at every point at once: the same sums in the same order,
-    # a segment past phi adding 0.0 where the scalar loop stops
-    n = len(values) - 1
-    energy = np.zeros(len(phis))
-    for k in range(n):
-        lo, hi = k / n, (k + 1) / n
-        c = (values[k + 1] - values[k]) * n
-        energy += np.where(phis > lo, 0.5 * c * c * (np.minimum(phis, hi) - lo), 0.0)
-    gv = rm * phis - energy
-    neg = np.flatnonzero(gv < 0.0)
+    neg = np.flatnonzero(g(phis) < 0.0)
     if len(neg) == 0:
         return math.inf
     j = neg[0]
-    assert (gv[j - 1], gv[j]) == (g(phis[j - 1]), g(phis[j]))  # the bracket, as the scalar loop sees it
     lo, hi = phis[j - 1], phis[j]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -428,16 +417,16 @@ def test_ball_argmax_meets_prefixes_or_certifies_extinction(values, eps, theta, 
     x = np.asarray(rep.argmax)
     s = np.arange(n + 1) / n
     assert np.all(np.abs(x - np.asarray(center.value(s))) <= eps + 1e-12)
-    phis = [p for p in s[1:] if p <= theta + 1e-12] + [theta]
-    energies = np.array([oracle_energy(x, p) for p in phis])
+    phis = np.array([p for p in s[1:] if p <= theta + 1e-12] + [theta])
+    energies = oracle_energy(x, phis)
     if rep.ball_value > -math.inf:
-        assert np.all(energies <= rm * np.array(phis) + 1e-9)
+        assert np.all(energies <= rm * phis + 1e-9)
         assert rep.ball_value == pytest.approx(rm * theta - energies[-1], abs=1e-12)
         return
     # extinct: where E(phi)/phi of the box minimiser peaks last, no path in
     # the ball has less energy (the box optimum up to phi* agrees), and that
     # energy already exceeds rm*phi*
-    ratio = energies / np.array(phis)
+    ratio = energies / phis
     phi_star = phis[int(np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-12))[-1])]
     least = rate.min_energy_over_ball(rate.BallQuery(center, eps, phi_star, n)).ball_value
     assert least > rm * phi_star
