@@ -39,7 +39,7 @@ def main() -> int:
         RngStream(cfg.seed, (99,)),
         cfg.steps_per_unit,
         cfg.cap,
-        cfg.bridge_correction,
+        bridge=cfg.bridge_correction,
     )
     print(f"\nempirical growth rates vs benchmark {value!r}:")
     for row in rows:

@@ -179,9 +179,14 @@ class TubeMembership:
     then and ``first_exit[i] > t``. The recorded series is read one
     :class:`SeriesBlock` at a time, so beside ``first_exit`` only the tube
     centre at the grid times, ``center_grid``, is kept.
+
+    With ``bridge`` every segment draws its uniforms, but the bridge never
+    rejects a segment of rows 0..spine_rows-1: a guided spine, which is a
+    taboo bridge between its recordings and never leaves the tube (see
+    :meth:`bbmlab.spine.WeightedForest.membership`).
     """
 
-    def __init__(self, forest: Forest, tube: Tube, bridge: bool = False):
+    def __init__(self, forest: Forest, tube: Tube, *, bridge: bool, spine_rows: int = 0):
         self.forest = forest
         self.tube = tube
         n = len(forest)
@@ -208,6 +213,8 @@ class TubeMembership:
                 rejected = _bridge_rejections(
                     center_pts, radius, pos, gap, valid, u[0 : 2 * len(gap) : 2], u[1 : 2 * len(gap) : 2]
                 )
+                if spine_rows > block.lo:
+                    rejected[: starts[min(spine_rows, block.hi) - block.lo] - 1] = False
                 bridge_exits = np.append(np.where(rejected, times[1:], math.inf), math.inf)
                 exits = np.minimum(exits, np.minimum.reduceat(bridge_exits, starts[:-1]))
             own[block.lo : block.hi] = exits
@@ -236,13 +243,13 @@ def _report(count: int, per_tube: tuple[int, ...], forest: Forest, T: float) -> 
     return CountReport(count=count, growth_rate=rate, per_tube=per_tube, capped=forest.capped)
 
 
-def count_tube(forest: Forest, tube: Tube, bridge: bool = False) -> CountReport:
+def count_tube(forest: Forest, tube: Tube, *, bridge: bool) -> CountReport:
     mem = TubeMembership(forest, tube, bridge=bridge)
     c = len(mem.members_at(tube.t_end))
     return _report(c, (c,), forest, tube.horizon)
 
 
-def count_family(forest: Forest, family: TubeFamily, bridge: bool = False) -> CountReport:
+def count_family(forest: Forest, family: TubeFamily, *, bridge: bool) -> CountReport:
     """Union count: alive at theta*T and inside at least one tube of the
     family (no multiplicity)."""
     t_end = family.tubes[0].t_end
@@ -274,7 +281,8 @@ def growth_curve(
     stream: RngStream,
     steps_per_unit: int,
     cap: int,
-    bridge: bool = False,
+    *,
+    bridge: bool,
 ):
     """Monte Carlo growth-rate table across horizons.
 
@@ -326,11 +334,12 @@ def brownian_tube_indicator(
     paths: np.ndarray,
     grid_times: np.ndarray,
     tube: Tube,
-    bridge: bool = False,
+    *,
+    bridge: bool,
     stream: Optional[RngStream] = None,
 ) -> np.ndarray:
     """Strict tube membership of plain Brownian paths on the grid, with the
-    same optional bridge correction the forest counters use. ``paths`` is
+    same bridge correction the forest counters use. ``paths`` is
     (replicates, len(grid_times))."""
     center = tube.center(np.minimum(grid_times, tube.horizon))
     radius = tube.radius

@@ -62,6 +62,11 @@ def _pooled_se(*ses: float) -> float:
     return math.sqrt(sum(se * se for se in ses))
 
 
+def _capped_check(n_capped: int) -> CheckResult:
+    """Fails when an estimator dropped a replicate that hit the cap."""
+    return check_bound("capped_replicates", n_capped, 0, note="replicates dropped at the cap")
+
+
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     if len(arr) == 0:
@@ -131,6 +136,7 @@ def run_many_to_one(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Ru
         if rhs_vals is not None:
             for i, v in enumerate(rhs_vals):
                 rows.append((name, "brownian", i, float(v)))
+    report.add(_capped_check(n_capped))
     if n_capped:
         report.details["capped_replicates"] = n_capped
     if out_dir is not None:
@@ -241,35 +247,20 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             z_rows.append((rep, t, z))
         if smooth and rep < sweep_reps:
             members = mem.members_at(t_end)
-            chk = spine.integral_bound_check(forest, members, t_end, tube, weights)
+            chk = spine.integral_bound_check(weights, members, t_end)
             rep_fail = int(np.count_nonzero(~chk.holds))
             bound_particles += len(members)
             bound_failures += rep_fail
-            z, count, bound, holds = spine.count_bound_check(forest, tube, weights)
+            z, count, bound, holds = spine.count_bound_check(weights)
             lemma7_failures += 0 if holds else 1
             bound_rows.append((rep, len(members), rep_fail, z, bound, int(holds)))
     for t in t_eval:
         mean, se = _mean_se(z_by_t[t])
         report.add(check_z(f"martingale_mean_one[t={t:g}]", mean, 1.0, se, sigmas))
     if smooth:
-        report.add(
-            CheckResult(
-                "integral_bound[in-tube particles]",
-                "pass" if bound_failures == 0 else "fail",
-                observed=bound_failures,
-                benchmark=0,
-                note=f"{bound_particles} particles over {sweep_reps} replicates",
-            )
-        )
-        report.add(
-            CheckResult(
-                "count_bound[per replicate]",
-                "pass" if lemma7_failures == 0 else "fail",
-                observed=lemma7_failures,
-                benchmark=0,
-                note=f"{sweep_reps} replicates",
-            )
-        )
+        report.add(check_bound("integral_bound[in-tube particles]", bound_failures, 0,
+                               note=f"{bound_particles} particles over {sweep_reps} replicates"))
+        report.add(check_bound("count_bound[per replicate]", lemma7_failures, 0, note=f"{sweep_reps} replicates"))
     else:
         report.add(CheckResult("integral_bound", "skip", note="needs a smooth path"))
         report.add(CheckResult("count_bound", "skip", note="needs a smooth path"))
@@ -288,7 +279,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         gaps.extend(wf.spine.gap_draws)
         broods.extend(wf.spine.offspring)
         steps_total += wf.spine.n_steps
-        w = wf.weights(TubeMembership(wf.forest, tube, bridge=cfg.bridge_correction))
+        w = spine.TubeWeights(wf.forest, tube, wf.membership(cfg.bridge_correction))
         ys = _spine_offsets(wf, t_end)
         in_tube_ok &= bool(np.all(np.abs(ys) < tube.radius))
         offsets.append(float(ys[-1]))  # Y(theta T): t_end is a grid time or T
@@ -313,15 +304,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         biased = size_biased(params.offspring)
         if biased.is_degenerate:
             only = biased.pmf[0][0]
-            ok = all(b == only for b in broods)
-            report.add(
-                CheckResult(
-                    "spine_offspring_law[point mass]",
-                    "pass" if ok else "fail",
-                    observed=float(sum(b != only for b in broods)),
-                    benchmark=0.0,
-                )
-            )
+            report.add(check_bound("spine_offspring_law[point mass]", float(sum(b != only for b in broods)), 0.0))
         else:
             ks_list = [k for k, _ in biased.pmf]
             observed = np.array([broods.count(k) for k in ks_list], dtype=float)
@@ -350,14 +333,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
     else:
         for name in ("spine_gap_law", "spine_offspring_law", "spine_position_law"):
             report.add(CheckResult(name, "fail", note=_NO_GUIDED))
-    report.add(
-        CheckResult(
-            "spine_in_tube[all recorded points]",
-            "pass" if in_tube_ok else "fail",
-            observed=1.0 if in_tube_ok else 0.0,
-            benchmark=1.0,
-        )
-    )
+    report.add(check_bound("spine_in_tube[all recorded points]", 1.0 if in_tube_ok else 0.0, 1.0, below=False))
     if diffs:
         dmean, dse = _mean_se(diffs)
         report.add(
@@ -379,15 +355,8 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             n_env = max(cfg.spine_replicates // 2, 1)
             wfs = (spine.simulate_spine(params, env_tube, grid, ebase.split(rep)) for rep in range(n_env))
             env_failures = sum(not spine.envelope_check(wf, t_end, eta).holds for wf in wfs)
-            report.add(
-                CheckResult(
-                    "spine_envelope[per replicate]",
-                    "pass" if env_failures == 0 else "fail",
-                    observed=env_failures,
-                    benchmark=0,
-                    note=f"eta={eta:.4g}, eps={env_eps}, {n_env} replicates",
-                )
-            )
+            report.add(check_bound("spine_envelope[per replicate]", env_failures, 0,
+                                   note=f"eta={eta:.4g}, eps={env_eps}, {n_env} replicates"))
     else:
         report.add(CheckResult("spine_envelope", "skip", note="needs a smooth path"))
 
@@ -459,6 +428,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
                 _pooled_se(imp_nonempty.se, nse), sigmas)
     )
 
+    report.add(_capped_check(n_capped))
     if n_capped:
         report.details["capped_replicates"] = n_capped
     if out_dir is not None:
@@ -496,7 +466,7 @@ def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRepo
     make_tube = lambda T: Tube(path, cfg.epsilon, cfg.theta, T)
     rows, raw = growth_curve(
         params, make_tube, cfg.growth_t_sweep, cfg.growth_replicates,
-        RngStream(cfg.seed, (_S_GROWTH, 0)), cfg.steps_per_unit, cfg.cap, cfg.bridge_correction,
+        RngStream(cfg.seed, (_S_GROWTH, 0)), cfg.steps_per_unit, cfg.cap, bridge=cfg.bridge_correction,
     )
     for prev, cur in zip(rows[:-1], rows[1:]):
         slack = 2.0 * _pooled_se(prev.se_rate, cur.se_rate)
@@ -529,18 +499,11 @@ def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRepo
     equery = rate.BallQuery(eline, cfg.extinct_epsilon, cfg.theta, cfg.ball_resolution)
     ebench = rate.max_rate_over_ball(equery, params.rm).ball_value
     report.details["extinct_benchmark"] = ebench
-    report.add(
-        CheckResult(
-            "extinct_ball_benchmark",
-            "pass" if ebench == -math.inf else "fail",
-            observed=ebench,
-            benchmark=-math.inf,
-        )
-    )
+    report.add(check_bound("extinct_ball_benchmark", ebench, -math.inf))
     make_etube = lambda T: Tube(eline, cfg.extinct_epsilon, cfg.theta, T)
     erows, eraw = growth_curve(
         params, make_etube, (cfg.extinct_horizon,), cfg.extinct_replicates,
-        RngStream(cfg.seed, (_S_GROWTH, 1)), cfg.steps_per_unit, cfg.cap, cfg.bridge_correction,
+        RngStream(cfg.seed, (_S_GROWTH, 1)), cfg.steps_per_unit, cfg.cap, bridge=cfg.bridge_correction,
     )
     report.add(
         check_bound(
@@ -548,6 +511,7 @@ def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRepo
             erows[0].empty_fraction, cfg.tol("empty_fraction_min"), below=False,
         )
     )
+    report.add(_capped_check(sum(r.n_capped for r in rows + erows)))
 
     if out_dir is not None:
         p = out_dir / "growth.csv"
@@ -631,15 +595,8 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
             path_rows.append((float(omega), n, T, log_x, rate_val))
         if best != 2.0:
             exact_two = False
-    report.add(
-        CheckResult(
-            "pathwise_rate[max over sweep == 2 exactly]",
-            "pass" if exact_two else "fail",
-            observed=1.0 if exact_two else 0.0,
-            benchmark=1.0,
-            note=f"{len(omegas)} omega grid points",
-        )
-    )
+    report.add(check_bound("pathwise_rate[max over sweep == 2 exactly]", 1.0 if exact_two else 0.0, 1.0,
+                           below=False, note=f"{len(omegas)} omega grid points"))
     mean_rows = []
     for T in [float(v) for v in range(2, 26)]:
         lam = counterexample_mean_measure(T)
@@ -783,6 +740,7 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
         )
     report.details["checked"] = checked
     report.details["hits"] = hits
+    report.add(_capped_check(n_capped))
     if n_capped:
         report.details["capped_replicates"] = n_capped
     report.wall_clock = time.perf_counter() - t0

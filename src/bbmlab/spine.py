@@ -31,7 +31,7 @@ so a check can only fail for substantive reasons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,21 +81,20 @@ class SpineRecord:
 
 
 class WeightedForest:
-    """A guided-law replicate: forest, its spine, and the tube it targets."""
+    """A guided-law replicate: forest, its spine (rows 0..S-1), and the tube
+    it targets."""
 
     def __init__(self, forest: Forest, spine: SpineRecord, tube: Tube):
         self.forest = forest
         self.spine = spine
         self.tube = tube
-        self._weights: Optional[TubeWeights] = None
 
-    def weights(self, membership: Optional[TubeMembership] = None) -> "TubeWeights":
-        """Tube weights of this replicate, built once. A caller that already
-        holds a membership (say a bridge-corrected one) passes it in and the
-        weights read it instead of building their own."""
-        if self._weights is None or (membership is not None and membership is not self._weights.membership):
-            self._weights = TubeWeights(self.forest, self.tube, membership)
-        return self._weights
+    def membership(self, bridge: bool) -> TubeMembership:
+        """The replicate's tube membership. The bridge correction exempts the
+        spine: between two recordings it is a taboo bridge, which never
+        leaves the tube, so rejecting its segments with the free bridge's
+        crossing probability would kill it and every subtree below."""
+        return TubeMembership(self.forest, self.tube, bridge=bridge, spine_rows=len(self.spine.pids))
 
 
 class TubeWeights:
@@ -108,10 +107,10 @@ class TubeWeights:
     increments are formed one :class:`~bbmlab.counting.SeriesBlock` at a time.
     """
 
-    def __init__(self, forest: Forest, tube: Tube, membership: Optional[TubeMembership] = None):
+    def __init__(self, forest: Forest, tube: Tube, membership: TubeMembership):
         self.forest = forest
         self.tube = tube
-        self.membership = membership if membership is not None else TubeMembership(forest, tube)
+        self.membership = membership
         T = tube.horizon
         n = len(forest)
         starts = series_starts(forest)
@@ -200,7 +199,7 @@ class TubeWeights:
         return float(np.sum(v) * math.exp(-self.forest.params.rm * t))
 
 
-def additive_martingale(forest: Forest, t: float, tube: Tube, bridge: bool = False) -> float:
+def additive_martingale(forest: Forest, t: float, tube: Tube, *, bridge: bool) -> float:
     """Z(t) over the strictly-in-tube population (mean one under the natural
     law for t <= theta*T)."""
     return TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge)).martingale_at(t)
@@ -359,6 +358,17 @@ def simulate_guided(
     return WeightedForest(builder.finish(params, stream), record, tube)
 
 
+def _spine_weights(wf: WeightedForest) -> TubeWeights:
+    """Tube weights of the spine rows 0..S-1 alone, the forest
+    :func:`simulate_spine` draws. Recorded spine points never leave the tube,
+    so the membership of the spine needs no bridge."""
+    f, S = wf.forest, len(wf.spine.pids)
+    heads = ("parent", "t_birth", "t_death", "n_offspring", "x_birth", "x_death", "grid_lo", "raw_lifetimes")
+    f = replace(f, **{name: getattr(f, name)[:S] for name in heads}, gen_off=f.gen_off[: S + 1],
+                xs_off=f.xs_off[: S + 1], xs_flat=f.xs_flat[: f.xs_off[S]], capped=False)
+    return TubeWeights(f, wf.tube, TubeMembership(f, wf.tube, bridge=False))
+
+
 def spine_decomposition(wf: WeightedForest, t: float) -> float:
     """Conditional mean of Z(t) given the spine's history:
 
@@ -372,7 +382,7 @@ def spine_decomposition(wf: WeightedForest, t: float) -> float:
         raise ValueError(f"no spine particle alive at t={t}")
     times = np.append(s.birth_times[:n], t)
     factor = np.append(np.asarray(s.offspring[:n]) - 1.0, 1.0)
-    v = wf.weights().values_at(np.asarray(s.pids[: n + 1]), times)
+    v = _spine_weights(wf).values_at(np.asarray(s.pids[: n + 1]), times)
     return float(np.sum(factor * v * np.exp(-f.params.rm * times)))
 
 
@@ -394,34 +404,32 @@ def _integral_slack(path: SmoothPath, sigma: float, max_gap: float) -> float:
     return path.derivative_sup(sigma) * max_gap * path.abs_curvature(sigma)
 
 
-def integral_bound_check(
-    forest: Forest, ids, t: float, tube: Tube, weights: Optional[TubeWeights] = None
-) -> BoundCheck:
-    """Check the pathwise deviation bound for the in-tube particles ids:
+def integral_bound_check(weights: TubeWeights, ids, t: float) -> BoundCheck:
+    """Check the pathwise deviation bound for the in-tube particles ids of
+    the weights' forest, in the weights' tube and membership:
 
         |I_u(t) - int_0^t f'(s/T)^2 ds|
             <= 2 eps T int_0^{t/T} |f''| + eps T |f'(0)|  (+ slack).
     """
+    tube = weights.tube
     path = tube.path
     if not isinstance(path, SmoothPath):
         raise TypeError("the curvature bound needs a SmoothPath")
-    w = weights if weights is not None else TubeWeights(forest, tube)
     ids = np.asarray(ids, dtype=np.intp)
-    outside = ids[~(w.membership.first_exit[ids] > t)]
+    outside = ids[~(weights.membership.first_exit[ids] > t)]
     if len(outside):
         raise ValueError(f"particle {outside[0]} is not in the tube up to t={t}")
     T = tube.horizon
     sigma = min(t / T, 1.0)
-    lhs = np.abs(w.integral_at(ids, t) - 2.0 * T * path.energy(sigma))
+    lhs = np.abs(weights.integral_at(ids, t) - 2.0 * T * path.energy(sigma))
     rhs = 2.0 * tube.radius * path.abs_curvature(sigma) + tube.radius * abs(path.derivative(0.0))
-    slack = _integral_slack(path, sigma, forest.grid.dt)
+    slack = _integral_slack(path, sigma, weights.forest.grid.dt)
     return BoundCheck(lhs, rhs, slack, holds=lhs <= rhs + slack + 1e-9)
 
 
-def count_bound_check(
-    forest: Forest, tube: Tube, weights: Optional[TubeWeights] = None
-) -> tuple[float, int, float, bool]:
-    """Per-replicate domination of the martingale by the tube count:
+def count_bound_check(weights: TubeWeights) -> tuple[float, int, float, bool]:
+    """Per-replicate domination of the martingale by the tube count, over the
+    weights' forest, tube and membership:
 
         Z(theta T) <= |N| exp(pi^2 theta/(8 eps^2 T) - rm theta T
                               + T * energy(theta) + delta*T)
@@ -429,13 +437,13 @@ def count_bound_check(
     with delta*T = 2 eps T int|f''| + eps T |f'(0)| + slack. Returns
     (z, count, bound_factor, holds).
     """
+    forest, tube = weights.forest, weights.tube
     path = tube.path
     if not isinstance(path, SmoothPath):
         raise TypeError("the count bound needs a SmoothPath")
-    w = weights if weights is not None else TubeWeights(forest, tube)
     t_end = tube.t_end
-    z = w.martingale_at(t_end)
-    count = len(w.membership.members_at(t_end))
+    z = weights.martingale_at(t_end)
+    count = len(weights.membership.members_at(t_end))
     T, theta = tube.horizon, tube.theta
     exponent = (
         math.pi**2 * theta / (8.0 * tube.epsilon**2 * T)
@@ -536,10 +544,12 @@ def importance_estimates(
     stream: RngStream = RngStream(0),
     t: Optional[float] = None,
     cap: int = DEFAULT_CAP,
-    bridge: bool = False,
+    *,
+    bridge: bool,
 ) -> list[ImportanceResult]:
-    """Guided-law averages of functional/Z(t), with 0/0 := 0, from one guided
-    pass; each functional reads the membership that gives Z.
+    """Guided-law averages of functional/Z(t) from one guided pass; each
+    functional reads the membership that gives Z, the one
+    :meth:`WeightedForest.membership` builds.
 
     This is a consistent estimator of the natural-law mean restricted to the
     tube-populated event, which equals the full mean exactly for functionals
@@ -549,27 +559,23 @@ def importance_estimates(
     correction should be on, otherwise Z is systematically inflated by
     unseen excursions and the ratio estimator inherits a first-order bias.
 
-    The spine keeps Z(t) > 0 on every guided replicate (up to bridge
-    rejections of its own recorded segments); a zero across all replicates
-    cannot come from the exact sampler, whose spine never leaves the tube,
-    and raises.
+    The spine, exempt from the bridge, keeps Z(t) > 0 on every guided
+    replicate; a replicate with Z(t) = 0 raises ``ValueError``.
     """
     t = tube.t_end if t is None else t
     vals = [[] for _ in functionals]
     n_capped = 0
-    any_positive = False
     for rep in range(replicates):
         wf = simulate_guided(params, tube, grid, stream=stream.split(rep), cap=cap)
         if wf.forest.capped:
             n_capped += 1
             continue
-        membership = TubeMembership(wf.forest, tube, bridge=bridge)
+        membership = wf.membership(bridge)
         z = TubeWeights(wf.forest, tube, membership).martingale_at(t)
-        any_positive |= z > 0.0
+        if not z > 0.0:
+            raise ValueError(f"Z({t:g}) = {z!r} on guided replicate {rep}, though its spine stays in the tube")
         for out, functional in zip(vals, functionals):
-            out.append(functional(membership) / z if z > 0.0 else 0.0)
-    if replicates > n_capped and not any_positive:
-        raise RuntimeError("Z vanished on every guided replicate, though the spine never leaves the tube")
+            out.append(functional(membership) / z)
     results = []
     for out in vals:
         arr = np.asarray(out)

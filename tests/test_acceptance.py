@@ -354,11 +354,11 @@ def test_criterion_08_pathwise_inequalities():
     lemma7_ok = True
     for rep in range(300):
         forest = simulate_forest(params, grid, stream=base.split(rep))
-        mem = TubeMembership(forest, tube)
+        mem = TubeMembership(forest, tube, bridge=False)
         weights = TubeWeights(forest, tube, mem)
-        z, count, bound, holds = count_bound_check(forest, tube, weights)
+        z, count, bound, holds = count_bound_check(weights)
         lemma7_ok &= holds
-        chk = integral_bound_check(forest, mem.members_at(tube.t_end), tube.t_end, tube, weights)
+        chk = integral_bound_check(weights, mem.members_at(tube.t_end), tube.t_end)
         bound_ok &= bool(chk.holds.all())
         n_particles += len(chk.holds)
 

@@ -29,7 +29,7 @@ def flat_tube(eps, theta=1.0, T=1.0):
 
 def stays_in(forest, pid, tube):
     """Whole-lineage strict membership of one particle up to theta*T."""
-    return TubeMembership(forest, tube).first_exit[pid] > tube.t_end
+    return TubeMembership(forest, tube, bridge=False).first_exit[pid] > tube.t_end
 
 
 def test_single_stationary_particle():
@@ -38,7 +38,7 @@ def test_single_stationary_particle():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = flat_tube(0.5)
     assert stays_in(forest, 0, tube)
-    rep = count_tube(forest, tube)
+    rep = count_tube(forest, tube, bridge=False)
     assert rep.count == 1
     assert rep.growth_rate == pytest.approx(0.0)
     # enormous radius swallows anything
@@ -52,8 +52,8 @@ def test_boundary_contact_is_outside():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.5 if t == 0.5 else 0.0)])
     tube = flat_tube(0.5)
     assert not stays_in(forest, 0, tube)
-    assert count_tube(forest, tube).count == 0
-    assert count_tube(forest, tube).growth_rate == -math.inf
+    assert count_tube(forest, tube, bridge=False).count == 0
+    assert count_tube(forest, tube, bridge=False).growth_rate == -math.inf
     # just inside passes
     forest2 = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.4999 if t == 0.5 else 0.0)])
     assert stays_in(forest2, 0, tube)
@@ -70,10 +70,10 @@ def test_membership_covers_whole_lineage():
     ]
     forest = synth_forest(params, grid, specs)
     tube = flat_tube(0.75)
-    mem = TubeMembership(forest, tube)
+    mem = TubeMembership(forest, tube, bridge=False)
     assert mem.first_exit[0] == pytest.approx(0.4)  # first recorded time at distance >= 0.75
     assert mem.first_exit[1] == pytest.approx(0.4)
-    assert count_tube(forest, tube).count == 0
+    assert count_tube(forest, tube, bridge=False).count == 0
 
 
 def test_theta_limits_membership_window():
@@ -83,7 +83,7 @@ def test_theta_limits_membership_window():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0 if t <= 0.5 else 99.0)])
     tube = Tube(GridPath.zero(4), 0.5, 0.5, 1.0)
     assert stays_in(forest, 0, tube)
-    assert count_tube(forest, tube).count == 1
+    assert count_tube(forest, tube, bridge=False).count == 1
 
 
 def test_theta_zero_counts_the_root():
@@ -91,7 +91,7 @@ def test_theta_zero_counts_the_root():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = Tube(GridPath.zero(4), 0.5, 0.0, 1.0)
-    rep = count_tube(forest, tube)
+    rep = count_tube(forest, tube, bridge=False)
     assert rep.count == 1 and rep.growth_rate == 0.0
 
 
@@ -107,13 +107,14 @@ def test_family_union_semantics():
     up = Tube(GridPath.from_function(lambda s: 0.45 * s, 4), 0.3, 1.0, 1.0)
     down = Tube(GridPath.from_function(lambda s: -0.45 * s, 4), 0.3, 1.0, 1.0)
     both = TubeFamily((up, down))
-    rep = count_family(forest, both)
+    rep = count_family(forest, both, bridge=False)
     assert rep.per_tube == (1, 1)
     assert rep.count == 2  # disjoint tubes: union equals the sum
-    assert count_family(forest, TubeFamily((up,))).count == count_tube(forest, up).count
+    single = count_family(forest, TubeFamily((up,)), bridge=False)
+    assert single.count == count_tube(forest, up, bridge=False).count
     wide_up = Tube(GridPath.from_function(lambda s: 0.45 * s, 4), 1.5, 1.0, 1.0)
     wide_down = Tube(GridPath.from_function(lambda s: -0.45 * s, 4), 1.5, 1.0, 1.0)
-    overlap = count_family(forest, TubeFamily((wide_up, wide_down)))
+    overlap = count_family(forest, TubeFamily((wide_up, wide_down)), bridge=False)
     assert overlap.count <= sum(overlap.per_tube)
     assert overlap.count == 2 and overlap.per_tube == (2, 2)
 
@@ -125,14 +126,14 @@ def test_monotone_in_epsilon_and_theta():
         forest = simulate_forest(params, grid, stream=RngStream(21, (rep,)))
         prev = -1
         for eps in (0.2, 0.4, 0.8, 1.6):
-            c = count_tube(forest, Tube(GridPath.zero(4), eps, 1.0, 4.0)).count
+            c = count_tube(forest, Tube(GridPath.zero(4), eps, 1.0, 4.0), bridge=False).count
             assert c >= prev
             prev = c
         # an empty prefix forces an empty full window
         small = Tube(GridPath.zero(4), 0.12, 0.5, 4.0)
         full = Tube(GridPath.zero(4), 0.12, 1.0, 4.0)
-        if count_tube(forest, small).count == 0:
-            assert count_tube(forest, full).count == 0
+        if count_tube(forest, small, bridge=False).count == 0:
+            assert count_tube(forest, full, bridge=False).count == 0
 
 
 def test_bridge_correction_only_removes():
@@ -165,9 +166,9 @@ def test_in_tube_requires_recorded_lineage():
     forest = synth_forest(params, grid, [(-1, 0.0, 0.5, 2, lambda t: 0.0)])
     # the lineage never left, but the particle is dead before theta*T, so it
     # is no member there
-    mem = TubeMembership(forest, flat_tube(0.5))
+    mem = TubeMembership(forest, flat_tube(0.5), bridge=False)
     assert mem.first_exit[0] == math.inf
-    assert len(mem.members_at(1.0)) == 0 and count_tube(forest, flat_tube(0.5)).count == 0
+    assert len(mem.members_at(1.0)) == 0 and count_tube(forest, flat_tube(0.5), bridge=False).count == 0
 
 
 def test_rough_increment_examples():
@@ -214,9 +215,9 @@ def test_brownian_tube_indicator_consistency():
     grid = TimeGrid(2.0, 40)
     paths = brownian_paths(grid, 2.0, 500, RngStream(25, (0,)))
     wide = Tube(GridPath.zero(4), 50.0, 1.0, 2.0)
-    assert brownian_tube_indicator(paths, grid.times(), wide).mean() == 1.0
+    assert brownian_tube_indicator(paths, grid.times(), wide, bridge=False).mean() == 1.0
     tube = Tube(GridPath.zero(4), 0.5, 1.0, 2.0)
-    raw = brownian_tube_indicator(paths, grid.times(), tube)
+    raw = brownian_tube_indicator(paths, grid.times(), tube, bridge=False)
     corrected = brownian_tube_indicator(paths, grid.times(), tube, bridge=True, stream=RngStream(9, (1,)))
     assert np.all(corrected <= raw)
     assert corrected.mean() < raw.mean()

@@ -164,7 +164,7 @@ def test_build_path_forms():
 def test_run_many_to_one_structure(tmp_path):
     report = run_many_to_one(tiny_config(), tmp_path)
     names = [c.name for c in report.checks]
-    assert names == ["many_to_one[ones]", "many_to_one[tube_indicator]", "many_to_one[exp_sup]"]
+    assert names == ["many_to_one[ones]", "many_to_one[tube_indicator]", "many_to_one[exp_sup]", "capped_replicates"]
     assert report.passed
     assert (tmp_path / "many_to_one.csv").exists()
 
@@ -195,9 +195,10 @@ def test_run_martingale_suite_structure(tmp_path):
 
 
 def test_guided_martingale_reads_the_bridge_corrected_membership(tmp_path):
-    # with the bridge correction on, the guided block's Z comes from a
-    # bridge-corrected membership, as the spine decomposition it is compared
-    # with assumes; on recorded points alone it would come out larger
+    # with the bridge correction on, the guided block's Z comes from the
+    # replicate's bridge-corrected membership, spine exempt, as the spine
+    # decomposition it is compared with assumes; on recorded points alone it
+    # would come out larger
     cfg = tiny_config(replicates=2, spine_replicates=1, bound_sweep_replicates=1, tail_replicates=2,
                       cross_replicates=2)
     run_martingale_suite(cfg, tmp_path)
@@ -205,10 +206,10 @@ def test_guided_martingale_reads_the_bridge_corrected_membership(tmp_path):
     tube = cfg.tube()
     wf = spine.simulate_guided(cfg.model_params(), tube, cfg.grid(),
                                stream=RngStream(cfg.seed, (_S_SPINE,)).split(0), cap=cfg.cap)
-    mem = TubeMembership(wf.forest, tube, bridge=True)
-    z = spine.TubeWeights(wf.forest, tube, mem).martingale_at(tube.t_end)
+    z = spine.TubeWeights(wf.forest, tube, wf.membership(True)).martingale_at(tube.t_end)
     assert float(row[2]) == z
-    assert z != spine.TubeWeights(wf.forest, tube).martingale_at(tube.t_end)
+    plain = TubeMembership(wf.forest, tube, bridge=False)
+    assert z != spine.TubeWeights(wf.forest, tube, plain).martingale_at(tube.t_end)
 
 
 def test_run_martingale_grid_path_skips_smooth_only_checks(tmp_path):
@@ -286,6 +287,18 @@ def test_capped_replicates_are_counted_in_every_block():
                           "decomposition_vs_martingale"}
     assert all(c.status == "fail" for c in empty.values())
     assert run_diagnose_paths(cfg).details["capped_replicates"] == cfg.roughness_replicates
+
+
+def test_a_capped_replicate_fails_its_runner_check():
+    # every runner that drops capped replicates reports one check with the
+    # count: it fails with every replicate capped and passes with none
+    capped = tiny_config(cap=1, replicates=6, spine_replicates=4, tail_replicates=3, cross_replicates=5,
+                         roughness_replicates=3, growth_replicates=4, extinct_replicates=2)
+    for runner in (run_many_to_one, run_martingale_suite, run_growth, run_diagnose_paths):
+        for cfg, failed in ((capped, True), (tiny_config(), False)):
+            checks = [c for c in runner(cfg).checks if c.name == "capped_replicates"]
+            assert len(checks) == 1, runner.__name__
+            assert (checks[0].status == "fail") is failed and (checks[0].observed > 0) is failed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -19,3 +20,32 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def public_callables(mod):
+    """(label, function) for every callable a module exports, the methods of
+    its classes included."""
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        if callable(obj):
+            yield name, obj
+        if inspect.isclass(obj):
+            yield from ((f"{name}.{attr}", fn) for attr, fn in vars(obj).items() if inspect.isfunction(fn))
+
+
+def test_no_entry_point_defaults_the_bridge_or_a_membership():
+    # each caller states which membership it wants; a default would build an
+    # uncorrected one behind the config's bridge_correction
+    from bbmlab import counting, spine
+
+    found = [
+        f"{mod.__name__}.{label}"
+        for mod in (counting, spine)
+        for label, fn in public_callables(mod)
+        if "bridge" in inspect.signature(fn).parameters
+        and inspect.signature(fn).parameters["bridge"].default is not inspect.Parameter.empty
+    ]
+    assert not found
+    assert inspect.signature(spine.TubeWeights).parameters["membership"].default is inspect.Parameter.empty

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -6,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from bbmlab import spine
+from bbmlab import counting, spine
 from bbmlab.counting import TubeMembership, count_tube
-from bbmlab.forest import _Builder, lineage, simulate_forest
+from bbmlab.forest import _Builder, lineage, propagate, simulate_forest
 from bbmlab.model import OffspringLaw, RngStream, TimeGrid, sample_offspring, size_biased
 from bbmlab.paths import GridPath, SmoothPath, Tube
 from bbmlab.spine import (
     TubeWeights,
-    WeightedForest,
     additive_martingale,
     count_bound_check,
     envelope_check,
@@ -35,6 +36,10 @@ def flat_tube(T, eps=0.5, theta=1.0, n=8):
     return Tube(SmoothPath.zero(n), eps, theta, T)
 
 
+def weights(forest, tube, bridge):
+    return TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge))
+
+
 # ---------------------------------------------------------------------------
 # weights on synthetic forests: closed-form expectations
 # ---------------------------------------------------------------------------
@@ -46,7 +51,7 @@ def test_weight_of_centred_particle():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = flat_tube(1.0)
     lam = math.pi**2 / (8.0 * 0.25)
-    v = TubeWeights(forest, tube).values_at([0, 0, 0], [0.0, 0.5, 1.0])
+    v = weights(forest, tube, bridge=False).values_at([0, 0, 0], [0.0, 0.5, 1.0])
     assert v == pytest.approx([1.0, math.exp(lam * 0.5), math.exp(lam)])
 
 
@@ -55,7 +60,7 @@ def test_weight_vanishes_on_the_wall():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.5 if t >= 0.5 else 0.0)])
     tube = flat_tube(1.0)
-    w = TubeWeights(forest, tube).values_at([0], 0.5)
+    w = weights(forest, tube, bridge=False).values_at([0], 0.5)
     assert abs(w[0]) < 1e-12
 
 
@@ -64,7 +69,7 @@ def test_weight_requires_living_particle():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 0.5, 2, lambda t: 0.0)])
     with pytest.raises(ValueError):
-        TubeWeights(forest, flat_tube(1.0)).values_at([0], 0.7)
+        weights(forest, flat_tube(1.0), bridge=False).values_at([0], 0.7)
 
 
 def test_martingale_trivial_cases():
@@ -72,10 +77,10 @@ def test_martingale_trivial_cases():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.0)])
     tube = flat_tube(1.0)
-    assert additive_martingale(forest, 0.0, tube) == pytest.approx(1.0)
+    assert additive_martingale(forest, 0.0, tube, bridge=False) == pytest.approx(1.0)
     # everything outside the tube sums to zero
     far = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 10.0 * t)])
-    assert additive_martingale(far, 1.0, tube) == 0.0
+    assert additive_martingale(far, 1.0, tube, bridge=False) == 0.0
 
 
 def test_stochastic_integral_inherited_along_lineage():
@@ -90,7 +95,7 @@ def test_stochastic_integral_inherited_along_lineage():
         (0, 0.5, 1.0, -1, lambda t: 1.0 + (t - 0.5)),
     ]
     forest = synth_forest(params, grid, specs)
-    w = TubeWeights(forest, tube)
+    w = weights(forest, tube, bridge=False)
     # I(t) = sum f' dX = X(t) here, since f' == 1; particle 1 keeps its
     # parent's value, then stays flat
     assert w.integral_at([0, 1, 2], [0.5, 1.0, 1.0]) == pytest.approx([1.0, 1.0, 1.5])
@@ -103,7 +108,7 @@ def test_martingale_is_exactly_one_at_time_zero():
     tube = flat_tube(2.0)
     for rep in range(5):
         forest = simulate_forest(params, grid, stream=RngStream(30, (rep,)))
-        assert additive_martingale(forest, 0.0, tube) == pytest.approx(1.0, abs=1e-14)
+        assert additive_martingale(forest, 0.0, tube, bridge=False) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_martingale_mean_one_small():
@@ -115,8 +120,7 @@ def test_martingale_mean_one_small():
     zs = []
     for rep in range(1200):
         forest = simulate_forest(params, grid, stream=RngStream(31, (rep,)))
-        mem = TubeMembership(forest, tube, bridge=True)
-        zs.append(TubeWeights(forest, tube, mem).martingale_at(4.0))
+        zs.append(weights(forest, tube, bridge=True).martingale_at(4.0))
     arr = np.array(zs)
     se = arr.std(ddof=1) / math.sqrt(len(arr))
     assert abs(arr.mean() - 1.0) <= 3.0 * se
@@ -182,7 +186,7 @@ def test_values_at_is_the_one_weight_formula(kind, seed, T, bridge):
         forest = simulate_guided(params, tube, grid, stream=RngStream(46, (seed,))).forest
     else:
         forest = simulate_forest(params, grid, stream=RngStream(46, (seed,)))
-    w = TubeWeights(forest, tube, TubeMembership(forest, tube, bridge=bridge))
+    w = weights(forest, tube, bridge)
     # Z is the sum of V over the members, e^{-rmt}-normalised, bit for bit
     for k in range(0, grid.steps + 1, grid.steps // 4):
         t = k * grid.dt
@@ -219,10 +223,10 @@ def test_integral_bound_check_array_matches_per_id_loop():
     checked = 0
     for rep in range(8):
         forest = simulate_forest(params, grid, stream=RngStream(47, (rep,)))
-        w = TubeWeights(forest, tube)
+        w = weights(forest, tube, bridge=False)
         for t in (3.0, 4.0):
             members = w.membership.members_at(t)
-            chk = integral_bound_check(forest, members, t, tube, w)
+            chk = integral_bound_check(w, members, t)
             energy = 2.0 * 4.0 * parab.energy(t / 4.0)
             want = np.array([abs(reference_integral(w, int(p), t) - energy) for p in members])
             assert chk.lhs.tobytes() == want.tobytes()
@@ -251,7 +255,7 @@ def test_guided_follows_a_grid_path():
     tube = Tube(GridPath.line(0.8, 4), 0.3, 1.0, 4.0)
     for rep in range(5):
         wf = simulate_guided(params, tube, grid, stream=RngStream(21, (rep,)))
-        membership = wf.weights().membership
+        membership = wf.membership(bridge=False)
         for pid in wf.spine.pids:
             rec = wf.forest.record(pid)
             assert np.all(np.abs(rec.positions - tube.center(rec.times)) < tube.radius)
@@ -265,10 +269,10 @@ def test_guided_spine_confined_and_lawful():
     gaps, broods = [], []
     for rep in range(250):
         wf = simulate_spine(params, tube, grid, stream=RngStream(32, (rep,)))
-        w = wf.weights()
+        membership = wf.membership(bridge=False)
         for pid in wf.spine.pids:
             d = min(wf.forest.t_death[pid], tube.t_end)
-            assert w.membership.first_exit[pid] > d
+            assert membership.first_exit[pid] > d
         gaps.extend(wf.spine.gap_draws)
         broods.extend(wf.spine.offspring)
         # genealogy: the spine is a root-to-leaf chain with increasing times
@@ -512,19 +516,78 @@ def test_guided_forest_is_its_spine_then_one_grow(monkeypatch):
         assert np.array_equal(f.gen_off[: S + 1], np.arange(S + 1))
 
 
-def test_weights_read_a_given_membership():
+def test_membership_is_built_by_the_replicate_on_the_stated_bridge():
     params = make_params()
     grid = TimeGrid(2.0, 40)
     tube = flat_tube(2.0)
     wf = simulate_guided(params, tube, grid, stream=RngStream(18, (0,)))
-    mem = TubeMembership(wf.forest, tube, bridge=True)
-    w = wf.weights(mem)
-    assert w.membership is mem and wf.weights() is w and wf.weights(mem) is w
-    assert w.martingale_at(2.0) == TubeWeights(wf.forest, tube, mem).martingale_at(2.0)
-    # the default still builds its own membership, without the bridge draws
-    plain = WeightedForest(wf.forest, wf.spine, tube).weights()
-    assert plain.membership is not mem
-    assert np.array_equal(plain.membership.first_exit, TubeMembership(wf.forest, tube).first_exit)
+    for bridge in (False, True):
+        mem = wf.membership(bridge)
+        assert mem.forest is wf.forest and mem.tube is tube and mem is not wf.membership(bridge)
+        assert mem.first_exit.tobytes() == wf.membership(bridge).first_exit.tobytes()
+    # without the bridge there is nothing to exempt
+    plain = TubeMembership(wf.forest, tube, bridge=False)
+    assert wf.membership(False).first_exit.tobytes() == plain.first_exit.tobytes()
+    assert np.all(wf.membership(True).first_exit <= plain.first_exit)
+
+
+def spine_ancestor(forest, S):
+    """Each row's last ancestor (itself included) among the spine rows 0..S-1."""
+    rows = np.arange(len(forest), dtype=np.float64)
+    return propagate(forest, np.where(rows < S, rows, -1.0), np.maximum).astype(np.intp)
+
+
+def assert_spine_exempt(wf):
+    """The spine's membership against one without the exemption: every spine
+    row stays in, no row exits earlier, and a row whose exit did not come
+    from a spine segment exits at the same time, bit for bit. Returns
+    whether the bridge cuts the spine without the exemption."""
+    f, S = wf.forest, len(wf.spine.pids)
+    exempt = wf.membership(True).first_exit
+    unexempt = TubeMembership(f, wf.tube, bridge=True).first_exit
+    assert np.all(exempt[:S] == math.inf)
+    assert np.all(exempt >= unexempt)
+    from_spine = np.isfinite(unexempt) & (unexempt == unexempt[spine_ancestor(f, S)])
+    assert exempt[~from_spine].tobytes() == unexempt[~from_spine].tobytes()
+    return np.isfinite(unexempt[:S]).any()
+
+
+def test_bridge_exempts_the_guided_spine_on_default_replicates():
+    # guided replicates of the default config's guided block whose spine the
+    # bridge rejects when it is not exempt (11 of its 1000 do)
+    from bbmlab.config import ExperimentConfig
+    from bbmlab.experiments import _S_SPINE
+
+    cfg = ExperimentConfig()
+    base = RngStream(cfg.seed, (_S_SPINE,))
+    for rep in (458, 530, 664):
+        wf = simulate_guided(cfg.model_params(), cfg.tube(), cfg.grid(), stream=base.split(rep), cap=cfg.cap)
+        assert assert_spine_exempt(wf), rep
+        assert len(wf.membership(True).members_at(cfg.tube().t_end)) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), curved=st.booleans(), block_points=st.sampled_from([40, 1 << 16]))
+def test_bridge_exemption_moves_only_exits_from_the_spine(seed, curved, block_points):
+    # small block sizes split the spine's rows over several series blocks
+    params = make_params(law=MIXED)
+    grid = TimeGrid(3.0, 60)
+    tube = Tube(CURVED, 0.4, 1.0, 3.0) if curved else flat_tube(3.0, eps=0.4)
+    wf = simulate_guided(params, tube, grid, stream=RngStream(49, (seed,)))
+    with unittest.mock.patch.object(counting, "SERIES_BLOCK_POINTS", block_points):
+        assert_spine_exempt(wf)
+
+
+def test_bridge_membership_of_natural_forests_is_unchanged():
+    # sha-256 of first_exit on four natural forests, recorded before the
+    # spine exemption existed: nothing without a spine row moves
+    grid = TimeGrid(6.0, 120)
+    tube = Tube(CURVED, 0.4, 0.75, 6.0)
+    digest = hashlib.sha256()
+    for rep in range(4):
+        forest = simulate_forest(make_params(), grid, stream=RngStream(48, (rep,)))
+        digest.update(TubeMembership(forest, tube, bridge=True).first_exit.tobytes())
+    assert digest.hexdigest() == "f6349a7d452e184789eca4929440e54f5ad2ace38855d4e3cec13e3a52aedacb"
 
 
 def test_decomposition_before_first_branch():
@@ -534,7 +597,7 @@ def test_decomposition_before_first_branch():
     wf = simulate_guided(params, tube, grid, stream=RngStream(36, (0,)))
     first = wf.spine.birth_times[0]
     t = math.floor(first / grid.dt) * grid.dt  # recorded time before any branch
-    w = wf.weights()
+    w = weights(wf.forest, tube, bridge=False)
     expected = w.values_at([0], t)[0] * math.exp(-params.rm * t)
     assert spine_decomposition(wf, t) == pytest.approx(expected)
 
@@ -544,7 +607,7 @@ def test_decomposition_dyadic_summands():
     grid = TimeGrid(6.0, 120)
     tube = flat_tube(6.0)
     wf = simulate_guided(params, tube, grid, stream=RngStream(37, (0,)))
-    w = wf.weights()
+    w = weights(wf.forest, tube, bridge=False)
     t = tube.t_end
     total = 0.0
     for pid, s_u, a_u in zip(wf.spine.pids, wf.spine.birth_times, wf.spine.offspring):
@@ -564,7 +627,7 @@ def test_decomposition_matches_martingale_in_mean():
     diffs = []
     for rep in range(500):
         wf = simulate_guided(params, tube, grid, stream=RngStream(38, (rep,)))
-        w = wf.weights()
+        w = TubeWeights(wf.forest, tube, wf.membership(bridge=False))
         diffs.append(w.martingale_at(4.0) - spine_decomposition(wf, 4.0))
     arr = np.array(diffs)
     se = arr.std(ddof=1) / math.sqrt(len(arr))
@@ -582,7 +645,7 @@ def test_integral_bound_flat_path_is_zero():
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 0.3)])
     # positions constant but inside; flat centre path: both sides vanish
     forest.x_birth[0] = 0.3
-    chk = integral_bound_check(forest, [0], 1.0, flat_tube(1.0))
+    chk = integral_bound_check(weights(forest, flat_tube(1.0), bridge=False), [0], 1.0)
     assert chk.lhs[0] == pytest.approx(0.0, abs=1e-14)
     assert chk.rhs == pytest.approx(0.0, abs=1e-14)
     assert chk.slack == pytest.approx(0.0, abs=1e-14)
@@ -597,9 +660,9 @@ def test_integral_bound_linear_path_closed_form():
     tube = Tube(line, 0.5, 1.0, 2.0)
     for rep in range(10):
         forest = simulate_forest(params, grid, stream=RngStream(39, (rep,)))
-        mem = TubeMembership(forest, tube)
+        mem = TubeMembership(forest, tube, bridge=False)
         w = TubeWeights(forest, tube, mem)
-        chk = integral_bound_check(forest, mem.members_at(2.0), 2.0, tube, w)
+        chk = integral_bound_check(w, mem.members_at(2.0), 2.0)
         # f'' == 0: the bound is exactly eps*T*|c| with zero slack
         assert chk.rhs == pytest.approx(tube.radius * c, abs=1e-9)
         assert chk.slack == pytest.approx(0.0, abs=1e-12)
@@ -614,11 +677,11 @@ def test_integral_bound_validation_sweep():
     checked = 0
     for rep in range(50):
         forest = simulate_forest(params, grid, stream=RngStream(40, (rep,)))
-        mem = TubeMembership(forest, tube)
+        mem = TubeMembership(forest, tube, bridge=False)
         w = TubeWeights(forest, tube, mem)
-        z, count, bound, holds = count_bound_check(forest, tube, w)
+        z, count, bound, holds = count_bound_check(w)
         assert holds
-        chk = integral_bound_check(forest, mem.members_at(4.0), 4.0, tube, w)
+        chk = integral_bound_check(w, mem.members_at(4.0), 4.0)
         assert chk.holds.all()
         checked += len(chk.holds)
     assert checked > 100
@@ -629,7 +692,7 @@ def test_integral_bound_requires_membership():
     grid = TimeGrid(1.0, 10)
     forest = synth_forest(params, grid, [(-1, 0.0, 1.0, -1, lambda t: 10.0 * t)])
     with pytest.raises(ValueError):
-        integral_bound_check(forest, [0], 1.0, flat_tube(1.0))
+        integral_bound_check(weights(forest, flat_tube(1.0), bridge=False), [0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +739,8 @@ def test_importance_of_constant_is_one_when_tube_cannot_empty():
     params = make_params()
     grid = TimeGrid(3.0, 60)
     tube = flat_tube(3.0, eps=1000.0)
-    res = importance_estimates([lambda mem: 1.0], params, tube, grid, 400, stream=RngStream(42, (0,)))[0]
+    res = importance_estimates([lambda mem: 1.0], params, tube, grid, 400, stream=RngStream(42, (0,)),
+                               bridge=False)[0]
     assert res.n == 400
     assert abs(res.estimate - 1.0) <= 3.0 * res.se
 
@@ -718,3 +782,14 @@ def test_importance_matches_direct_count():
     dse = arr.std(ddof=1) / math.sqrt(len(arr))
     pooled = math.sqrt(res.se**2 + dse**2)
     assert abs(res.estimate - arr.mean()) <= 3.0 * pooled
+
+
+def test_importance_raises_on_a_replicate_without_weight(monkeypatch):
+    # the exempt spine keeps Z > 0 on every guided replicate; a zero is a
+    # fault, named with its replicate, not a 0/0 to average away
+    params = make_params()
+    grid = TimeGrid(2.0, 40)
+    tube = flat_tube(2.0)
+    monkeypatch.setattr(TubeWeights, "martingale_at", lambda self, t: 0.0)
+    with pytest.raises(ValueError, match="guided replicate 0"):
+        importance_estimates([lambda mem: 1.0], params, tube, grid, 3, stream=RngStream(50, (0,)), bridge=True)
