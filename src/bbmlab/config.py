@@ -87,8 +87,6 @@ class ExperimentConfig:
     # cross-measure consistency block (small horizon so direct MC is feasible)
     cross_horizon: float = 4.0
     cross_replicates: int = 2_000
-    # envelope check may need a smaller tube radius than the main experiments
-    envelope_epsilon: Optional[float] = None
     # growth experiment
     growth_t_sweep: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0)
     growth_replicates: int = 150
@@ -139,13 +137,8 @@ class ExperimentConfig:
     def build_path(self):
         return build_path(self.path)
 
-    def tube(self, horizon: Optional[float] = None, epsilon: Optional[float] = None) -> Tube:
-        return Tube(
-            self.build_path(),
-            self.epsilon if epsilon is None else epsilon,
-            self.theta,
-            self.horizon if horizon is None else horizon,
-        )
+    def tube(self, horizon: Optional[float] = None) -> Tube:
+        return Tube(self.build_path(), self.epsilon, self.theta, self.horizon if horizon is None else horizon)
 
     def tol(self, key: str) -> float:
         return self.tolerances[key]

@@ -11,7 +11,6 @@ met by the configuration are reported as skipped, not failed.
 from __future__ import annotations
 
 import math
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +23,7 @@ from .counting import TubeMembership, count_tube, growth_curve, lineage_sup_abs
 from .forest import brownian_paths, dump_jsonl, simulate_forest, simulate_population_sizes
 from .model import RngStream, size_biased
 from .paths import GridPath, SmoothPath, Tube
-from .reporting import CheckResult, RunReport, check_bound, check_z, write_csv
+from .reporting import CheckResult, RunReport, check_bound, check_pvalue, check_z, write_csv
 
 __all__ = [
     "run_many_to_one",
@@ -50,7 +49,6 @@ _S_SPINE = 4
 _S_TAIL = 5
 _S_CROSS_DIRECT = 6
 _S_CROSS_GUIDED = 7
-_S_ENVELOPE = 8
 _S_GROWTH = 9
 _S_SIM = 10
 _S_DIAG = 11
@@ -62,9 +60,12 @@ def _pooled_se(*ses: float) -> float:
     return math.sqrt(sum(se * se for se in ses))
 
 
-def _capped_check(n_capped: int) -> CheckResult:
-    """Fails when an estimator dropped a replicate that hit the cap."""
-    return check_bound("capped_replicates", n_capped, 0, note="replicates dropped at the cap")
+def _write_csv(report: RunReport, out_dir: Optional[Path], name: str, header: list[str], rows) -> None:
+    """Writes ``out_dir / name`` and lists it in the report; without an
+    output directory it writes nothing."""
+    if out_dir is not None:
+        write_csv(out_dir / name, header, rows)
+        report.csv_files.append(name)
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -85,7 +86,6 @@ def run_many_to_one(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Ru
     Three functionals: the constant 1, the tube-lineage indicator, and a
     bounded exponential path functional exp(-sup|X|/t).
     """
-    t0 = time.perf_counter()
     report = RunReport("many_to_one")
     params = cfg.model_params()
     t = cfg.many_to_one_time
@@ -136,15 +136,9 @@ def run_many_to_one(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Ru
         if rhs_vals is not None:
             for i, v in enumerate(rhs_vals):
                 rows.append((name, "brownian", i, float(v)))
-    report.add(_capped_check(n_capped))
-    if n_capped:
-        report.details["capped_replicates"] = n_capped
-    if out_dir is not None:
-        p = out_dir / "many_to_one.csv"
-        write_csv(p, ["functional", "side", "replicate", "value"], rows)
-        report.csv_files.append(p.name)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    report.add_capped(n_capped)
+    _write_csv(report, out_dir, "many_to_one.csv", ["functional", "side", "replicate", "value"], rows)
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,6 @@ def run_pgf_bound(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunR
 
     Equality for strictly dyadic branching, an upper bound otherwise.
     """
-    t0 = time.perf_counter()
     report = RunReport("pgf_bound")
     params = cfg.model_params()
     alpha, t = cfg.pgf_alpha, cfg.pgf_time
@@ -175,16 +168,9 @@ def run_pgf_bound(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunR
             check_bound("pgf[upper bound]", mc, limit, note=f"closed_form={closed!r}")
         )
     report.details["closed_form"] = closed
-    if out_dir is not None:
-        p = out_dir / "pgf.csv"
-        write_csv(
-            p,
-            ["replicate", "population", "alpha_power"],
-            [(i, int(c), float(v)) for i, (c, v) in enumerate(zip(counts, vals))],
-        )
-        report.csv_files.append(p.name)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    _write_csv(report, out_dir, "pgf.csv", ["replicate", "population", "alpha_power"],
+               [(i, int(c), float(v)) for i, (c, v) in enumerate(zip(counts, vals))])
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +199,6 @@ def _quarter_times(cfg: ExperimentConfig) -> list[float]:
 def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Mean-one checks, guided-law spine checks, pathwise inequality sweeps,
     the cross-measure consistency block, and the tail-mass surrogate."""
-    t0 = time.perf_counter()
     report = RunReport("martingale_suite")
     params = cfg.model_params()
     grid = cfg.grid()
@@ -222,7 +207,7 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
     smooth = isinstance(path, SmoothPath)
     t_eval = _quarter_times(cfg)
     t_end = tube.t_end
-    sigmas = cfg.tol("z_sigma")
+    sigmas, alpha = cfg.tol("z_sigma"), cfg.tol("law_alpha")
 
     # -- natural-law block: Z mean-one, inequality sweeps ------------------
     z_rows = []
@@ -265,11 +250,15 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         report.add(CheckResult("integral_bound", "skip", note="needs a smooth path"))
         report.add(CheckResult("count_bound", "skip", note="needs a smooth path"))
 
-    # -- guided-law block ---------------------------------------------------
+    # -- guided-law block: spine laws, decomposition, envelope --------------
+    # the envelope's hypotheses are gated once; it reads the block's spines
+    env_ok, eta, reason = (spine.envelope_eta(path, params.rm, cfg.theta, cfg.epsilon) if smooth
+                           else (False, 0.0, "needs a smooth path"))
     gaps, broods, diffs, offsets = [], [], [], []
     spine_rows = []
     in_tube_ok = True
     steps_total = 0
+    env_failures = 0
     qbase = RngStream(cfg.seed, (_S_SPINE,))
     for rep in range(cfg.spine_replicates):
         wf = spine.simulate_guided(params, tube, grid, stream=qbase.split(rep), cap=cfg.cap)
@@ -286,21 +275,16 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         z_q = w.martingale_at(t_end)
         decomp = spine.spine_decomposition(wf, t_end)
         diffs.append(z_q - decomp)
+        if env_ok:
+            env_failures += not spine.envelope_check(wf, t_end, eta).holds
         spine_rows.append(
             (rep, t_end, z_q, decomp, offsets[-1], len(w.membership.members_at(t_end)))
         )
     if diffs:
         rate_spine = (params.m + 1.0) * params.r
         ks = sstats.kstest(gaps, "expon", args=(0.0, 1.0 / rate_spine))
-        report.add(
-            CheckResult(
-                "spine_gap_law[KS vs Exp((m+1)r)]",
-                "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
-                observed=float(ks.pvalue),
-                benchmark=cfg.tol("law_alpha"),
-                note=f"{len(gaps)} gap draws",
-            )
-        )
+        report.add(check_pvalue("spine_gap_law[KS vs Exp((m+1)r)]", ks.pvalue, alpha,
+                                note=f"{len(gaps)} gap draws"))
         biased = size_biased(params.offspring)
         if biased.is_degenerate:
             only = biased.pmf[0][0]
@@ -310,26 +294,12 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
             observed = np.array([broods.count(k) for k in ks_list], dtype=float)
             expected = np.array([p for _, p in biased.pmf]) * len(broods)
             chi = sstats.chisquare(observed, expected)
-            report.add(
-                CheckResult(
-                    "spine_offspring_law[chi-square vs size-biased]",
-                    "pass" if chi.pvalue > cfg.tol("law_alpha") else "fail",
-                    observed=float(chi.pvalue),
-                    benchmark=cfg.tol("law_alpha"),
-                    note=f"{len(broods)} births",
-                )
-            )
+            report.add(check_pvalue("spine_offspring_law[chi-square vs size-biased]", chi.pvalue, alpha,
+                                    note=f"{len(broods)} births"))
         # from Y(0) = 0 the centred spine is the taboo process for any centre
         ks = sstats.kstest(offsets, lambda z: spine.taboo_cdf(z, 0.0, t_end, tube.radius))
-        report.add(
-            CheckResult(
-                "spine_position_law[KS vs taboo law at θT]",
-                "pass" if ks.pvalue > cfg.tol("law_alpha") else "fail",
-                observed=float(ks.pvalue),
-                benchmark=cfg.tol("law_alpha"),
-                note=f"{len(offsets)} replicates, {steps_total} proposals",
-            )
-        )
+        report.add(check_pvalue("spine_position_law[KS vs taboo law at θT]", ks.pvalue, alpha,
+                                note=f"{len(offsets)} replicates, {steps_total} proposals"))
     else:
         for name in ("spine_gap_law", "spine_offspring_law", "spine_position_law"):
             report.add(CheckResult(name, "fail", note=_NO_GUIDED))
@@ -342,23 +312,14 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         )
     else:
         report.add(CheckResult("decomposition_vs_martingale", "fail", note=_NO_GUIDED))
-
-    # -- envelope check (hypothesis gated) ----------------------------------
-    if smooth:
-        env_eps = cfg.envelope_epsilon if cfg.envelope_epsilon is not None else cfg.epsilon
-        ok, eta, reason = spine.envelope_eta(path, params.rm, cfg.theta, env_eps)
-        if not ok:
-            report.add(CheckResult("spine_envelope", "skip", note=f"hypothesis unmet: {reason}"))
-        else:
-            env_tube = cfg.tube(epsilon=env_eps)
-            ebase = RngStream(cfg.seed, (_S_ENVELOPE,))
-            n_env = max(cfg.spine_replicates // 2, 1)
-            wfs = (spine.simulate_spine(params, env_tube, grid, ebase.split(rep)) for rep in range(n_env))
-            env_failures = sum(not spine.envelope_check(wf, t_end, eta).holds for wf in wfs)
-            report.add(check_bound("spine_envelope[per replicate]", env_failures, 0,
-                                   note=f"eta={eta:.4g}, eps={env_eps}, {n_env} replicates"))
+    if not env_ok:
+        note = f"hypothesis unmet: {reason}" if smooth else reason
+        report.add(CheckResult("spine_envelope", "skip", note=note))
+    elif diffs:
+        report.add(check_bound("spine_envelope[per replicate]", env_failures, 0,
+                               note=f"eta={eta:.4g}, eps={cfg.epsilon}, {len(diffs)} replicates"))
     else:
-        report.add(CheckResult("spine_envelope", "skip", note="needs a smooth path"))
+        report.add(CheckResult("spine_envelope", "fail", note=_NO_GUIDED))
 
     # -- tail-mass surrogate -------------------------------------------------
     cut = cfg.tol("tail_cut")
@@ -428,23 +389,13 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
                 _pooled_se(imp_nonempty.se, nse), sigmas)
     )
 
-    report.add(_capped_check(n_capped))
-    if n_capped:
-        report.details["capped_replicates"] = n_capped
-    if out_dir is not None:
-        p = out_dir / "martingale.csv"
-        write_csv(p, ["replicate", "t", "martingale"], z_rows)
-        report.csv_files.append(p.name)
-        if spine_rows:
-            sp = out_dir / "spine.csv"
-            write_csv(
-                sp,
-                ["replicate", "t", "martingale", "spine_decomposition", "spine_offset", "in_tube_count"],
-                spine_rows,
-            )
-            report.csv_files.append(sp.name)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    report.add_capped(n_capped)
+    _write_csv(report, out_dir, "martingale.csv", ["replicate", "t", "martingale"], z_rows)
+    if spine_rows:
+        _write_csv(report, out_dir, "spine.csv",
+                   ["replicate", "t", "martingale", "spine_decomposition", "spine_offset", "in_tube_count"],
+                   spine_rows)
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +405,6 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
 def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Empirical (1/T) log counts against the variational benchmark, plus an
     extinct ball whose benchmark is -inf."""
-    t0 = time.perf_counter()
     report = RunReport("growth")
     params = cfg.model_params()
     sigmas = cfg.tol("z_sigma")
@@ -511,19 +461,14 @@ def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRepo
             erows[0].empty_fraction, cfg.tol("empty_fraction_min"), below=False,
         )
     )
-    report.add(_capped_check(sum(r.n_capped for r in rows + erows)))
-
-    if out_dir is not None:
-        p = out_dir / "growth.csv"
-        all_rows = [("main", *r) for r in raw] + [("extinct", *r) for r in eraw]
-        write_csv(p, ["ball", "T", "replicate", "count", "growth_rate", "empty"], all_rows)
-        report.csv_files.append(p.name)
+    report.add_capped(sum(r.n_capped for r in rows + erows))
+    _write_csv(report, out_dir, "growth.csv", ["ball", "T", "replicate", "count", "growth_rate", "empty"],
+               [("main", *r) for r in raw] + [("extinct", *r) for r in eraw])
     report.details["curve"] = [
         {"T": r.T, "mean_rate": r.mean_rate, "se": r.se_rate, "empty_fraction": r.empty_fraction}
         for r in rows
     ]
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +524,6 @@ def counterexample_mean_log_rate(T: float) -> float:
 def run_counterexample(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Exhibit the limsup-versus-mean growth gap numerically: along T = n + omega
     every pathwise rate is exactly 2, while the mean growth rate tends to 1."""
-    t0 = time.perf_counter()
     report = RunReport("counterexample")
     omegas = np.linspace(0.0, 1.0, 100)
     n_sweep = range(1, 13)
@@ -612,14 +556,9 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
             tolerance=tol,
         )
     )
-    if out_dir is not None:
-        p1 = out_dir / "counterexample_path.csv"
-        write_csv(p1, ["omega", "n", "T", "log_x", "rate"], path_rows)
-        p2 = out_dir / "counterexample_mean.csv"
-        write_csv(p2, ["T", "spike_measure", "mean_rate"], mean_rows)
-        report.csv_files.extend([p1.name, p2.name])
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    _write_csv(report, out_dir, "counterexample_path.csv", ["omega", "n", "T", "log_x", "rate"], path_rows)
+    _write_csv(report, out_dir, "counterexample_mean.csv", ["T", "spike_measure", "mean_rate"], mean_rows)
+    return report.done()
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +567,6 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """One replicate dumped to JSON-lines plus a population-count CSV."""
-    t0 = time.perf_counter()
     report = RunReport("simulate")
     params = cfg.model_params()
     grid = cfg.grid()
@@ -641,22 +579,16 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRe
     )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        jp = out_dir / "forest.jsonl"
-        with open(jp, "w") as fh:
+        with open(out_dir / "forest.jsonl", "w") as fh:
             dump_jsonl(forest, fh)
-        rows = []
-        for k, t in enumerate(grid.times()):
-            rows.append((float(t), int(np.count_nonzero(forest.alive_mask(t)))))
-        cp = out_dir / "population.csv"
-        write_csv(cp, ["t", "population"], rows)
-        report.csv_files.extend([jp.name, cp.name])
-    report.wall_clock = time.perf_counter() - t0
-    return report
+        report.csv_files.append("forest.jsonl")
+        rows = [(float(t), int(np.count_nonzero(forest.alive_mask(t)))) for t in grid.times()]
+        _write_csv(report, out_dir, "population.csv", ["t", "population"], rows)
+    return report.done()
 
 
 def run_rate_query(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Variational report for the configured ball."""
-    t0 = time.perf_counter()
     report = RunReport("rate_query")
     params = cfg.model_params()
     path = cfg.build_path()
@@ -683,18 +615,15 @@ def run_rate_query(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
             json.dumps(_jsonable(report.details["rate_report"]), indent=2, sort_keys=True) + "\n"
         )
         if rep.argmax is not None:
-            p = out_dir / "rate_argmax.csv"
             n = len(rep.argmax) - 1
-            write_csv(p, ["s", "value"], [(k / n, v) for k, v in enumerate(rep.argmax)])
-            report.csv_files.append(p.name)
-    report.wall_clock = time.perf_counter() - t0
-    return report
+            _write_csv(report, out_dir, "rate_argmax.csv", ["s", "value"],
+                       [(k / n, v) for k, v in enumerate(rep.argmax)])
+    return report.done()
 
 
 def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Frequency of pathologically rough rescaled lineages (expected: zero;
     hits are logged, never failed, since the event is merely super-rare)."""
-    t0 = time.perf_counter()
     report = RunReport("diagnose_paths")
     params = cfg.model_params()
     # scale n is decidable only when 1/n^2 >= 1/steps, so record finely
@@ -740,11 +669,8 @@ def run_diagnose_paths(cfg: ExperimentConfig, out_dir: Optional[Path] = None) ->
         )
     report.details["checked"] = checked
     report.details["hits"] = hits
-    report.add(_capped_check(n_capped))
-    if n_capped:
-        report.details["capped_replicates"] = n_capped
-    report.wall_clock = time.perf_counter() - t0
-    return report
+    report.add_capped(n_capped)
+    return report.done()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -76,17 +77,37 @@ def check_bound(name: str, observed: float, limit: float, below: bool = True, no
     return CheckResult(name, "pass" if ok else "fail", observed, limit, None, None, note)
 
 
+def check_pvalue(name: str, p: float, alpha: float, note: str = "") -> CheckResult:
+    """A law check (Kolmogorov-Smirnov, chi-square) passes above ``alpha``."""
+    return CheckResult(name, "pass" if p > alpha else "fail", observed=float(p), benchmark=alpha, note=note)
+
+
 @dataclass
 class RunReport:
+    """A runner's checks, files and details; its clock starts when it is made
+    and :meth:`done` stops it."""
+
     experiment: str
     checks: list[CheckResult] = field(default_factory=list)
     csv_files: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
     wall_clock: float = 0.0
+    _t0: float = field(init=False, repr=False, compare=False, default_factory=time.perf_counter)
 
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check
+
+    def add_capped(self, n_capped: int) -> CheckResult:
+        """Fails when an estimator dropped a replicate that hit the cap; a
+        nonzero count is also kept in ``details["capped_replicates"]``."""
+        if n_capped:
+            self.details["capped_replicates"] = n_capped
+        return self.add(check_bound("capped_replicates", n_capped, 0, note="replicates dropped at the cap"))
+
+    def done(self) -> "RunReport":
+        self.wall_clock = time.perf_counter() - self._t0
+        return self
 
     @property
     def passed(self) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -542,13 +542,12 @@ def importance_estimates(
     grid: TimeGrid,
     replicates: int,
     stream: RngStream = RngStream(0),
-    t: Optional[float] = None,
     cap: int = DEFAULT_CAP,
     *,
     bridge: bool,
 ) -> list[ImportanceResult]:
-    """Guided-law averages of functional/Z(t) from one guided pass; each
-    functional reads the membership that gives Z, the one
+    """Guided-law averages of functional/Z(t) at t = ``tube.t_end`` from one
+    guided pass; each functional reads the membership that gives Z, the one
     :meth:`WeightedForest.membership` builds.
 
     This is a consistent estimator of the natural-law mean restricted to the
@@ -562,7 +561,7 @@ def importance_estimates(
     The spine, exempt from the bridge, keeps Z(t) > 0 on every guided
     replicate; a replicate with Z(t) = 0 raises ``ValueError``.
     """
-    t = tube.t_end if t is None else t
+    t = tube.t_end
     vals = [[] for _ in functionals]
     n_capped = 0
     for rep in range(replicates):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bbmlab import spine
@@ -24,7 +25,7 @@ from bbmlab.experiments import (
 )
 from bbmlab.model import RngStream
 from bbmlab.paths import GridPath, SmoothPath
-from bbmlab.reporting import CheckResult, RunReport, fmt, write_summary
+from bbmlab.reporting import CheckResult, RunReport, check_pvalue, fmt, write_summary
 
 
 def tiny_config(**over):
@@ -237,6 +238,18 @@ def test_envelope_skipped_when_start_slope_nonzero(tmp_path):
     assert "hypothesis unmet" in env.note
 
 
+def test_envelope_reads_the_guided_blocks_uncapped_replicates(tmp_path):
+    # the envelope is checked on the guided block's own spines: its note
+    # counts the block's uncapped replicates, one per spine.csv row
+    cfg = tiny_config(cap=100, replicates=6, tail_replicates=3, cross_replicates=5)
+    report = run_martingale_suite(cfg, tmp_path)
+    uncapped = len((tmp_path / "spine.csv").read_text().splitlines()) - 1
+    assert 0 < uncapped < cfg.spine_replicates
+    env = {c.name: c for c in report.checks}["spine_envelope[per replicate]"]
+    assert env.status == "pass"
+    assert env.note.endswith(f", {uncapped} replicates")
+
+
 def test_run_growth_structure(tmp_path):
     report = run_growth(tiny_config(), tmp_path)
     names = [c.name for c in report.checks]
@@ -272,8 +285,7 @@ def test_run_diagnose_paths(tmp_path):
 
 def test_capped_replicates_are_counted_in_every_block():
     # cap=1 truncates every replicate, natural or guided: each one must be
-    # dropped from its estimator and counted, in every block. The envelope
-    # block reads spines alone, which a cap cannot cut
+    # dropped from its estimator and counted, in every block
     cfg = tiny_config(cap=1, replicates=6, spine_replicates=4, tail_replicates=3,
                       cross_replicates=5, roughness_replicates=3)
     report = run_martingale_suite(cfg)
@@ -284,7 +296,7 @@ def test_capped_replicates_are_counted_in_every_block():
     # the guided-law block had nothing left to test, and says so
     empty = {c.name: c for c in report.checks if c.note == "no uncapped guided replicates"}
     assert set(empty) == {"spine_gap_law", "spine_offspring_law", "spine_position_law",
-                          "decomposition_vs_martingale"}
+                          "decomposition_vs_martingale", "spine_envelope"}
     assert all(c.status == "fail" for c in empty.values())
     assert run_diagnose_paths(cfg).details["capped_replicates"] == cfg.roughness_replicates
 
@@ -304,6 +316,25 @@ def test_a_capped_replicate_fails_its_runner_check():
 # ---------------------------------------------------------------------------
 # reporting and determinism
 # ---------------------------------------------------------------------------
+
+
+def test_add_capped_fails_and_records_a_nonzero_count():
+    none = RunReport("demo")
+    assert none.add_capped(0).status == "pass"
+    assert none.checks[0].name == "capped_replicates" and "capped_replicates" not in none.details
+    some = RunReport("demo")
+    check = some.add_capped(3)
+    assert check.status == "fail" and check.observed == 3
+    assert some.details["capped_replicates"] == 3
+
+
+def test_check_pvalue_passes_only_above_alpha():
+    def by_hand(p, alpha, note):
+        return CheckResult("law", "pass" if p > alpha else "fail", observed=float(p), benchmark=alpha, note=note)
+
+    for p in (0.5, 1e-3, 1e-4):
+        assert check_pvalue("law", np.float64(p), 1e-3, note="40 draws") == by_hand(p, 1e-3, "40 draws")
+    assert check_pvalue("law", 1e-3, 1e-3).status == "fail"
 
 
 def test_fmt_sentinels():

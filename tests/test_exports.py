@@ -1,10 +1,14 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import bbmlab
+from bbmlab.config import ExperimentConfig
 
 # every module but the `python -m bbmlab` entry point, which runs the CLI on import
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bbmlab.__path__, "bbmlab.") if m.name != "bbmlab.__main__")
@@ -49,3 +53,15 @@ def test_no_entry_point_defaults_the_bridge_or_a_membership():
     ]
     assert not found
     assert inspect.signature(spine.TubeWeights).parameters["membership"].default is inspect.Parameter.empty
+
+
+def test_readme_config_rows_name_config_fields():
+    # every key the README's configuration table documents is a config field,
+    # so a removed field cannot leave its row behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n\n#", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert "epsilon" in keys and "cap" in keys
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert keys <= fields, sorted(keys - fields)
