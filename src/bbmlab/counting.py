@@ -17,8 +17,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .forest import Forest, lineage_grid_positions, propagate
-from .model import RngStream
+from .forest import _IDX_EPS, Forest, lineage_grid_positions, propagate
+from .model import RngStream, TimeGrid
 from .paths import Tube, TubeFamily
 
 __all__ = [
@@ -133,7 +133,7 @@ def recorded_values(forest: Forest, fn) -> tuple[np.ndarray, np.ndarray, np.ndar
 def lineage_sup_abs(forest: Forest, t: float) -> np.ndarray:
     """sup over recorded times <= t of |X| along each particle's lineage."""
     own = np.empty(len(forest))
-    cutoff = t + 1e-9 * forest.grid.dt
+    cutoff = t + _IDX_EPS * forest.grid.dt
     for block in series_blocks(forest):
         vals = np.where(block.times <= cutoff, np.abs(block.positions), -math.inf)
         own[block.lo : block.hi] = np.maximum.reduceat(vals, block.starts[:-1])
@@ -191,7 +191,7 @@ class TubeMembership:
         self.tube = tube
         n = len(forest)
         radius = tube.radius
-        cutoff = tube.t_end + 1e-9 * forest.grid.dt
+        cutoff = tube.t_end + _IDX_EPS * forest.grid.dt
         own = np.empty(n)
         center = recorded_values(forest, lambda t: tube.center(np.minimum(t, tube.horizon)))
         if bridge:
@@ -332,26 +332,27 @@ def growth_curve(
 
 def brownian_tube_indicator(
     paths: np.ndarray,
-    grid_times: np.ndarray,
+    grid: TimeGrid,
     tube: Tube,
     *,
     bridge: bool,
     stream: Optional[RngStream] = None,
 ) -> np.ndarray:
-    """Strict tube membership of plain Brownian paths on the grid, with the
-    same bridge correction the forest counters use. ``paths`` is
-    (replicates, len(grid_times))."""
-    center = tube.center(np.minimum(grid_times, tube.horizon))
+    """Strict tube membership up to ``tube.t_end`` of Brownian paths recorded
+    on the whole grid (:func:`bbmlab.forest.brownian_paths`), with the window
+    and the bridge correction of the forest counters."""
+    times = grid.times()
+    center = tube.center(np.minimum(times, tube.horizon))
     radius = tube.radius
-    times_mask = grid_times <= tube.t_end + 1e-9
-    inside = (np.abs(paths[:, times_mask] - center[times_mask]) < radius).all(axis=1)
+    window = times <= tube.t_end + _IDX_EPS * grid.dt
+    inside = (np.abs(paths[:, window] - center[window]) < radius).all(axis=1)
     if not bridge:
         return inside.astype(float)
     if stream is None:
         raise ValueError("bridge correction needs a stream")
     # all up-side uniforms, then all down-side ones: kept for byte-identical CSVs
-    u = stream.split(BRIDGE_STREAM_TAG).generator().random((2, len(paths), paths.shape[1] - 1))
-    rejected = _bridge_rejections(center, radius, paths, np.diff(grid_times), times_mask[1:], *u)
+    u = stream.split(BRIDGE_STREAM_TAG).generator().random((2, len(paths), grid.steps))
+    rejected = _bridge_rejections(center, radius, paths, np.diff(times), window[1:], *u)
     return (inside & ~rejected.any(axis=1)).astype(float)
 
 
@@ -388,8 +389,8 @@ def rough_increment_check(values: Sequence[float], h: float, n_min: int) -> bool
 
 def rescaled_lineage(forest: Forest, pid: int, theta: float) -> tuple[np.ndarray, float]:
     """Lineage trajectory rescaled onto [0, theta]: values X(sT)/T at spacing
-    h = dt/T, the input format of :func:`rough_increment_check`."""
-    T = forest.horizon
-    t_end = theta * T
-    xs = lineage_grid_positions(forest, pid, forest.grid.dt * forest.grid.index_of(t_end))
-    return xs / T, forest.grid.dt / T
+    h = dt/T up to the last recorded time <= theta*T, the input format of
+    :func:`rough_increment_check`."""
+    T, dt = forest.horizon, forest.grid.dt
+    xs = lineage_grid_positions(forest, pid, dt * math.floor(theta * T / dt + _IDX_EPS))
+    return xs / T, dt / T

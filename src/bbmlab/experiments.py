@@ -1,11 +1,15 @@
 """Named experiments: reproducible Monte Carlo verification runs.
 
 Each runner simulates from streams derived deterministically from the config
-seed, writes per-replicate CSVs, and returns a :class:`RunReport` whose
-pass/fail lines are recomputable from those CSVs. Monte Carlo identities are
-accepted within a 3-standard-error band by default; deterministic quantities
-carry explicit absolute bands. Checks whose mathematical hypotheses are not
-met by the configuration are reported as skipped, not failed.
+seed, writes per-replicate CSVs, and returns a :class:`RunReport`. The
+many-to-one, pgf, mean-one, decomposition, spine position-law, growth and
+counterexample lines can be recomputed from those CSVs and the report's
+details; the bound sweeps, spine gap and brood laws, ``spine_in_tube``, the
+envelope, tail mass, cross-measure block and roughness frequency need a rerun
+at the same seed. Monte Carlo identities are accepted within a 3-standard-error
+band by default; deterministic quantities carry explicit absolute bands.
+Checks whose mathematical hypotheses are not met by the configuration are
+reported as skipped, not failed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy import stats as sstats
 from . import counting, rate, spine
 from .config import ExperimentConfig
 from .counting import TubeMembership, count_tube, growth_curve, lineage_sup_abs
-from .forest import brownian_paths, dump_jsonl, simulate_forest, simulate_population_sizes
+from .forest import _IDX_EPS, brownian_paths, dump_jsonl, simulate_forest, simulate_population_sizes
 from .model import RngStream, size_biased
 from .paths import GridPath, SmoothPath, Tube
 from .reporting import CheckResult, RunReport, check_bound, check_pvalue, check_z, write_csv
@@ -108,10 +112,10 @@ def run_many_to_one(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Ru
         sup = lineage_sup_abs(forest, t)
         lhs_exp.append(float(np.exp(-sup[alive] / t).sum()))
 
-    paths = brownian_paths(grid, t, R, base.split(1))
+    paths = brownian_paths(grid, R, base.split(1))
     growth = math.exp(params.rm * t)
     rhs_tube_raw = counting.brownian_tube_indicator(
-        paths, grid.times(), tube, bridge=cfg.bridge_correction, stream=base.split(2)
+        paths, grid, tube, bridge=cfg.bridge_correction, stream=base.split(2)
     )
     rhs_exp_raw = np.exp(-np.abs(paths).max(axis=1) / t)
 
@@ -182,7 +186,7 @@ def _spine_offsets(wf: spine.WeightedForest, t: float) -> np.ndarray:
     times s up to t, in time order: births, grid times and deaths."""
     f, tube = wf.forest, wf.tube
     rows = counting.SeriesBlock(f, counting.series_starts(f), 0, len(wf.spine.pids))
-    keep = rows.times <= t + 1e-9 * f.grid.dt
+    keep = rows.times <= t + _IDX_EPS * f.grid.dt
     return rows.positions[keep] - tube.center(np.minimum(rows.times[keep], tube.horizon))
 
 
@@ -199,6 +203,13 @@ def _quarter_times(cfg: ExperimentConfig) -> list[float]:
 def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Mean-one checks, guided-law spine checks, pathwise inequality sweeps,
     the cross-measure consistency block, and the tail-mass surrogate."""
+    # Z(theta T) reads positions at theta T: each of the suite's grids must record it
+    for g in map(cfg.grid, (cfg.horizon, *cfg.tail_sweep, cfg.cross_horizon)):
+        try:
+            g.index_of(cfg.theta * g.T)
+        except ValueError:
+            raise ValueError(f"theta*T = {cfg.theta:g}*{g.T:g} is not a recorded time of its grid "
+                             f"(dt = {g.dt:g})") from None
     report = RunReport("martingale_suite")
     params = cfg.model_params()
     grid = cfg.grid()
@@ -211,7 +222,6 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
 
     # -- natural-law block: Z mean-one, inequality sweeps ------------------
     z_rows = []
-    bound_rows = []
     z_by_t = {t: [] for t in t_eval}
     bound_failures = 0
     bound_particles = 0
@@ -233,12 +243,9 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         if smooth and rep < sweep_reps:
             members = mem.members_at(t_end)
             chk = spine.integral_bound_check(weights, members, t_end)
-            rep_fail = int(np.count_nonzero(~chk.holds))
             bound_particles += len(members)
-            bound_failures += rep_fail
-            z, count, bound, holds = spine.count_bound_check(weights)
-            lemma7_failures += 0 if holds else 1
-            bound_rows.append((rep, len(members), rep_fail, z, bound, int(holds)))
+            bound_failures += int(np.count_nonzero(~chk.holds))
+            lemma7_failures += not spine.count_bound_check(weights).holds
     for t in t_eval:
         mean, se = _mean_se(z_by_t[t])
         report.add(check_z(f"martingale_mean_one[t={t:g}]", mean, 1.0, se, sigmas))
@@ -271,12 +278,12 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
         w = spine.TubeWeights(wf.forest, tube, wf.membership(cfg.bridge_correction))
         ys = _spine_offsets(wf, t_end)
         in_tube_ok &= bool(np.all(np.abs(ys) < tube.radius))
-        offsets.append(float(ys[-1]))  # Y(theta T): t_end is a grid time or T
+        offsets.append(float(ys[-1]))  # Y(theta T): t_end is a recorded time
         z_q = w.martingale_at(t_end)
         decomp = spine.spine_decomposition(wf, t_end)
         diffs.append(z_q - decomp)
         if env_ok:
-            env_failures += not spine.envelope_check(wf, t_end, eta).holds
+            env_failures += not spine.envelope_check(wf, t_end, eta, decomp).holds
         spine_rows.append(
             (rep, t_end, z_q, decomp, offsets[-1], len(w.membership.members_at(t_end)))
         )
@@ -373,9 +380,9 @@ def run_martingale_suite(cfg: ExperimentConfig, out_dir: Optional[Path] = None) 
                 _pooled_se(imp_count.se, dse), sigmas)
     )
     # Brownian-path oracle for the same expected count
-    bm = brownian_paths(cgrid, ctube.t_end, cfg.cross_replicates, dbase.split(999_999))
+    bm = brownian_paths(cgrid, cfg.cross_replicates, dbase.split(999_999))
     inside = counting.brownian_tube_indicator(
-        bm, cgrid.times(), ctube, bridge=cfg.bridge_correction, stream=dbase.split(999_998)
+        bm, cgrid, ctube, bridge=cfg.bridge_correction, stream=dbase.split(999_998)
     )
     omean, ose = _mean_se(inside)
     oracle = math.exp(params.rm * ctube.t_end) * omean
@@ -407,7 +414,6 @@ def run_growth(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunRepo
     extinct ball whose benchmark is -inf."""
     report = RunReport("growth")
     params = cfg.model_params()
-    sigmas = cfg.tol("z_sigma")
     path = cfg.build_path()
     query = rate.BallQuery(path, cfg.epsilon, cfg.theta, cfg.ball_resolution)
     benchmark = rate.max_rate_over_ball(query, params.rm).ball_value

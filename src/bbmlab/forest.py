@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class Forest:
     """Columnar genealogy of one simulated replicate: one array per field
     across all particles, ``xs_flat`` their grid positions back to back
     (particle i owns xs_flat[xs_off[i]:xs_off[i+1]]) and ``gen_off`` the
-    builder's block offsets (see the module docstring)."""
+    builder's block offsets (see the module docstring). A replicate ends
+    where its grid ends: ``horizon`` is ``grid.T``."""
 
     params: ModelParams
     grid: TimeGrid
@@ -147,13 +148,10 @@ class _Builder:
     when it is added, so a caller adds each parent before its children.
     Shared by the plain and guided simulators."""
 
-    def __init__(self, grid: TimeGrid, horizon: float, cap: int):
-        if horizon > grid.T + _IDX_EPS * grid.dt:
-            raise ValueError("horizon exceeds the recording grid")
+    def __init__(self, grid: TimeGrid, cap: int):
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self.grid = grid
-        self.horizon = float(horizon)
         self.cap = cap
         self.chunks = []
         self.gen_off = [0]
@@ -180,7 +178,7 @@ class _Builder:
         paths."""
         if self.capped or not len(b):
             return
-        dt, horizon = self.grid.dt, self.horizon
+        dt, horizon = self.grid.dt, self.grid.T
         inv_r = 1.0 / params.r
         first_row = rows = self.rows
         gens, draws = [], []
@@ -249,7 +247,7 @@ class _Builder:
         return Forest(
             params=params,
             grid=self.grid,
-            horizon=self.horizon,
+            horizon=self.grid.T,
             parent=parent,
             gen_off=np.array(self.gen_off, dtype=np.int64),
             t_birth=b,
@@ -269,16 +267,14 @@ class _Builder:
 def simulate_forest(
     params: ModelParams,
     grid: TimeGrid,
-    horizon: Optional[float] = None,
     stream: RngStream = RngStream(0),
     cap: int = DEFAULT_CAP,
 ) -> Forest:
     """Simulate one replicate under the natural law from a single particle at
-    the origin. A replicate whose record count hits ``cap`` is truncated and
-    flagged; capped replicates are kept for diagnostics but excluded from
-    estimators by the callers."""
-    horizon = grid.T if horizon is None else float(horizon)
-    builder = _Builder(grid, horizon, cap)
+    the origin up to the grid's end time T. A replicate whose record count
+    hits ``cap`` is truncated and flagged; capped replicates are kept for
+    diagnostics but excluded from estimators by the callers."""
+    builder = _Builder(grid, cap)
     builder.grow(np.zeros(1), np.zeros(1), np.array([-1]), params, stream.generator())
     return builder.finish(params, stream)
 
@@ -288,13 +284,10 @@ def population_at(forest: Forest, t: float) -> list[tuple[int, float]]:
 
     Census semantics are right-continuous: at a branch time the offspring are
     alive, the parent is not. Censored particles count as alive up to the
-    horizon.
+    horizon. A time the grid does not record raises ``ValueError``.
     """
-    dt = forest.grid.dt
-    k = int(round(t / dt))
-    if abs(k * dt - t) > _IDX_EPS * max(dt, 1.0) or t > forest.horizon + _IDX_EPS:
-        raise ValueError(f"t={t} is not a recorded time")
-    mask = forest.alive_mask(k * dt)
+    k = forest.grid.index_of(t)
+    mask = forest.alive_mask(k * forest.grid.dt)
     idx = np.flatnonzero(mask)
     pos_idx = forest.xs_off[idx] + (k - forest.grid_lo[idx])
     xs = forest.xs_flat[pos_idx]
@@ -322,10 +315,10 @@ def simulate_population_sizes(
     return out
 
 
-def brownian_paths(grid: TimeGrid, t: float, replicates: int, stream: RngStream) -> np.ndarray:
-    """Standard Brownian paths recorded on the grid up to time t, one row per
+def brownian_paths(grid: TimeGrid, replicates: int, stream: RngStream) -> np.ndarray:
+    """Standard Brownian paths recorded at every time of the grid, one row per
     replicate (the single-particle side of many-to-one identities)."""
-    k = grid.index_of(t)
+    k = grid.steps
     rng = stream.generator()
     z = rng.standard_normal((replicates, k)) * math.sqrt(grid.dt)
     out = np.empty((replicates, k + 1))

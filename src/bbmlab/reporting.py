@@ -1,9 +1,9 @@
 """Check records, CSV emission, and the machine-readable run summary.
 
-Every pass/fail is computed from numbers that are also written to CSV, so a
-report can be re-derived from the raw files. CSV rows are written in a
-canonical order with shortest round-trip float formatting, which makes runs
-with the same seed byte-identical.
+Some pass/fail lines can be re-derived from the CSVs, the others only by a
+rerun at the same seed (:mod:`bbmlab.experiments` says which). CSV rows are
+written in a canonical order with shortest round-trip float formatting,
+which makes runs with the same seed byte-identical.
 """
 
 from __future__ import annotations

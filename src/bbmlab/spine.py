@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .counting import TubeMembership, recorded_values, series_blocks, series_starts
-from .forest import DEFAULT_CAP, Forest, _Builder, propagate
+from .forest import _IDX_EPS, DEFAULT_CAP, Forest, _Builder, propagate
 from .model import ModelParams, RngStream, TimeGrid, sample_offspring, size_biased
 from .paths import SmoothPath, Tube, _abs_linear_integral
 
@@ -58,8 +58,6 @@ __all__ = [
     "ImportanceResult",
     "importance_estimates",
 ]
-
-_IDX_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ def _spine(params: ModelParams, tube: Tube, grid: TimeGrid, stream: RngStream, c
         raise ValueError("tube horizon and recording grid horizon must agree")
     T, R, dt = grid.T, tube.radius, grid.dt
     centre_grid = tube.center(grid.times())
-    builder = _Builder(grid, T, cap)
+    builder = _Builder(grid, cap)
     genealogy = stream.split(0).generator()
     path_rng = stream.split(0, 1).generator()
     biased = size_biased(params.offspring)
@@ -427,15 +425,15 @@ def integral_bound_check(weights: TubeWeights, ids, t: float) -> BoundCheck:
     return BoundCheck(lhs, rhs, slack, holds=lhs <= rhs + slack + 1e-9)
 
 
-def count_bound_check(weights: TubeWeights) -> tuple[float, int, float, bool]:
+def count_bound_check(weights: TubeWeights) -> BoundCheck:
     """Per-replicate domination of the martingale by the tube count, over the
     weights' forest, tube and membership:
 
         Z(theta T) <= |N| exp(pi^2 theta/(8 eps^2 T) - rm theta T
                               + T * energy(theta) + delta*T)
 
-    with delta*T = 2 eps T int|f''| + eps T |f'(0)| + slack. Returns
-    (z, count, bound_factor, holds).
+    with delta*T = 2 eps T int|f''| + eps T |f'(0)| + slack; ``lhs`` is
+    Z(theta T) and ``rhs`` the right-hand side.
     """
     forest, tube = weights.forest, weights.tube
     path = tube.path
@@ -445,16 +443,17 @@ def count_bound_check(weights: TubeWeights) -> tuple[float, int, float, bool]:
     z = weights.martingale_at(t_end)
     count = len(weights.membership.members_at(t_end))
     T, theta = tube.horizon, tube.theta
+    slack = _integral_slack(path, theta, forest.grid.dt)
     exponent = (
         math.pi**2 * theta / (8.0 * tube.epsilon**2 * T)
         - forest.params.rm * t_end
         + T * path.energy(theta)
         + 2.0 * tube.radius * path.abs_curvature(theta)
         + tube.radius * abs(path.derivative(0.0))
-        + _integral_slack(path, theta, forest.grid.dt)
+        + slack
     )
     bound = count * math.exp(exponent)
-    return z, count, bound, z <= bound * (1.0 + 1e-9) + 1e-12
+    return BoundCheck(z, bound, slack, holds=z <= bound * (1.0 + 1e-9) + 1e-12)
 
 
 def _max_ratio(pieces) -> float:
@@ -507,14 +506,15 @@ def envelope_eta(path: SmoothPath, rm: float, theta: float, epsilon: float):
     return True, float(eta), ""
 
 
-def envelope_check(wf: WeightedForest, t: float, eta: float) -> BoundCheck:
+def envelope_check(wf: WeightedForest, t: float, eta: float, decomposition: float) -> BoundCheck:
     """Spine-sum envelope at time t under the gate's hypotheses:
 
-        decomposition(t) <= sum over all spine branches of
+        decomposition <= sum over all spine branches of
             (A_u - 1) exp(pi^2/(8 eps^2 T) - eta S_u)
             + exp(pi^2/(8 eps^2 T) - eta t),
 
-    inflated by the discrete-integral slack.
+    inflated by the discrete-integral slack; ``decomposition`` is
+    :func:`spine_decomposition` of ``wf`` at t, which the caller holds.
     """
     tube = wf.tube
     T = tube.horizon
@@ -523,8 +523,7 @@ def envelope_check(wf: WeightedForest, t: float, eta: float) -> BoundCheck:
     rhs = math.exp(lead - eta * t + slack)
     for s_u, a_u in zip(wf.spine.birth_times, wf.spine.offspring):
         rhs += (a_u - 1) * math.exp(lead - eta * s_u + slack)
-    lhs = spine_decomposition(wf, t)
-    return BoundCheck(lhs, rhs, slack, holds=lhs <= rhs * (1.0 + 1e-9))
+    return BoundCheck(decomposition, rhs, slack, holds=decomposition <= rhs * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)

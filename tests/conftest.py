@@ -32,13 +32,12 @@ def assert_gen_off_valid(forest):
         assert np.all(forest.parent[lo:hi] < lo)
 
 
-def synth_forest(params, grid, specs, horizon=None):
+def synth_forest(params, grid, specs):
     """Hand-built forest for exact membership and weight tests.
 
     Each spec is (parent, birth, death, n_offspring, position_fn); positions
     are sampled deterministically from position_fn at the recorded times.
     """
-    horizon = grid.T if horizon is None else horizon
     dt = grid.dt
     cols = {k: [] for k in ("parent", "b", "d", "n", "xb", "xd", "lo")}
     xs_list = []
@@ -58,7 +57,7 @@ def synth_forest(params, grid, specs, horizon=None):
     return Forest(
         params=params,
         grid=grid,
-        horizon=horizon,
+        horizon=grid.T,
         parent=np.array(cols["parent"], dtype=np.int64),
         gen_off=block_offsets(cols["parent"]),
         t_birth=np.array(cols["b"], dtype=float),

@@ -39,6 +39,7 @@ from bbmlab.spine import (
     importance_estimates,
     integral_bound_check,
     simulate_spine,
+    spine_decomposition,
     taboo_cdf,
 )
 
@@ -185,8 +186,8 @@ def test_criterion_05_cross_measure():
         [lambda mem: float(len(mem.members_at(tube.t_end)))],
         params, tube, grid, 2000, stream=RngStream(20260810, (5, 1)), bridge=True,
     )[0]
-    bm = brownian_paths(grid, T, 20_000, RngStream(20260810, (5, 2)))
-    ind = brownian_tube_indicator(bm, grid.times(), tube, bridge=True, stream=RngStream(20260810, (5, 3)))
+    bm = brownian_paths(grid, 20_000, RngStream(20260810, (5, 2)))
+    ind = brownian_tube_indicator(bm, grid, tube, bridge=True, stream=RngStream(20260810, (5, 3)))
     oracle = math.exp(params.rm * T) * ind.mean()
     oracle_se = math.exp(params.rm * T) * ind.std(ddof=1) / math.sqrt(len(ind))
     z_imp = abs(imp.estimate - d_mean) / math.hypot(imp.se, d_se)
@@ -356,8 +357,7 @@ def test_criterion_08_pathwise_inequalities():
         forest = simulate_forest(params, grid, stream=base.split(rep))
         mem = TubeMembership(forest, tube, bridge=False)
         weights = TubeWeights(forest, tube, mem)
-        z, count, bound, holds = count_bound_check(weights)
-        lemma7_ok &= holds
+        lemma7_ok &= count_bound_check(weights).holds
         chk = integral_bound_check(weights, mem.members_at(tube.t_end), tube.t_end)
         bound_ok &= bool(chk.holds.all())
         n_particles += len(chk.holds)
@@ -370,7 +370,7 @@ def test_criterion_08_pathwise_inequalities():
     n_env = 300
     for rep in range(n_env):
         wf = simulate_spine(params, env_tube, grid, stream=ebase.split(rep))
-        env_ok &= envelope_check(wf, env_tube.t_end, eta).holds
+        env_ok &= envelope_check(wf, env_tube.t_end, eta, spine_decomposition(wf, env_tube.t_end)).holds
     ok = bound_ok and lemma7_ok and env_ok
     report(
         8,

@@ -213,14 +213,26 @@ def test_lineage_sup_abs():
 
 def test_brownian_tube_indicator_consistency():
     grid = TimeGrid(2.0, 40)
-    paths = brownian_paths(grid, 2.0, 500, RngStream(25, (0,)))
+    paths = brownian_paths(grid, 500, RngStream(25, (0,)))
     wide = Tube(GridPath.zero(4), 50.0, 1.0, 2.0)
-    assert brownian_tube_indicator(paths, grid.times(), wide, bridge=False).mean() == 1.0
+    assert brownian_tube_indicator(paths, grid, wide, bridge=False).mean() == 1.0
     tube = Tube(GridPath.zero(4), 0.5, 1.0, 2.0)
-    raw = brownian_tube_indicator(paths, grid.times(), tube, bridge=False)
-    corrected = brownian_tube_indicator(paths, grid.times(), tube, bridge=True, stream=RngStream(9, (1,)))
+    raw = brownian_tube_indicator(paths, grid, tube, bridge=False)
+    corrected = brownian_tube_indicator(paths, grid, tube, bridge=True, stream=RngStream(9, (1,)))
     assert np.all(corrected <= raw)
     assert corrected.mean() < raw.mean()
+
+
+def test_brownian_tube_indicator_ignores_exits_after_theta_t():
+    # the paths span the whole grid; with theta = 1/2 only times up to 1.0
+    # count, so the path that leaves at 1.5 is inside and the one that leaves
+    # at 0.5 is not, with or without the bridge
+    grid = TimeGrid(2.0, 40)
+    tube = Tube(GridPath.zero(4), 0.5, 0.5, 2.0)
+    times = grid.times()
+    paths = np.stack([np.where(times >= 1.5, 5.0, 0.0), np.where(times >= 0.5, 5.0, 0.0)])
+    assert brownian_tube_indicator(paths, grid, tube, bridge=False).tolist() == [1.0, 0.0]
+    assert brownian_tube_indicator(paths, grid, tube, bridge=True, stream=RngStream(9, (2,))).tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

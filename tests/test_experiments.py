@@ -6,7 +6,7 @@ import pytest
 
 from bbmlab import spine
 from bbmlab.config import DEFAULT_TOLERANCES, ExperimentConfig, build_path, load_config
-from bbmlab.counting import TubeMembership
+from bbmlab.counting import TubeMembership, rescaled_lineage
 from bbmlab.experiments import (
     _S_SPINE,
     counterexample_log_value,
@@ -23,6 +23,7 @@ from bbmlab.experiments import (
     run_rate_query,
     run_simulate,
 )
+from bbmlab.forest import simulate_forest
 from bbmlab.model import RngStream
 from bbmlab.paths import GridPath, SmoothPath
 from bbmlab.reporting import CheckResult, RunReport, check_pvalue, fmt, write_summary
@@ -368,3 +369,29 @@ def test_run_all_byte_identical(tmp_path):
     assert files1 == files2 and files1
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_martingale_suite_runs_below_theta_one():
+    # the Brownian oracle's paths span the cross-measure grid, and its
+    # indicator reads them up to theta*T only
+    report = run_martingale_suite(tiny_config(theta=0.5))
+    names = {c.name for c in report.checks}
+    assert {"cross_measure[direct vs Brownian oracle]", "martingale_mean_one[t=1.5]"} <= names
+    assert report.passed
+
+
+def test_martingale_suite_rejects_theta_t_off_the_grid():
+    # theta*T = 0.99 falls between the recorded times 0.95 and 1.0
+    with pytest.raises(ValueError, match=r"theta\*T = 0.33\*3 .*\(dt = 0.05\)"):
+        run_martingale_suite(tiny_config(theta=0.33))
+
+
+def test_diagnose_paths_reads_lineages_to_the_last_recorded_time():
+    # roughness_n = 5 keeps dt = 0.05, so theta*T = 0.99 is not recorded: the
+    # lineages are read up to 0.95
+    cfg = tiny_config(theta=0.33, roughness_n=5)
+    report = run_diagnose_paths(cfg)
+    assert report.passed and report.details["checked"] > 0
+    forest = simulate_forest(cfg.model_params(), cfg.grid(), stream=RngStream(3, (0,)))
+    values, h = rescaled_lineage(forest, int(np.flatnonzero(forest.alive_mask(0.99))[0]), 0.33)
+    assert len(values) == 20 and h == cfg.grid().dt / 3.0

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -65,3 +66,45 @@ def test_readme_config_rows_name_config_fields():
     assert "epsilon" in keys and "cap" in keys
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert keys <= fields, sorted(keys - fields)
+
+
+def dead_locals(fn: ast.FunctionDef) -> set[str]:
+    """Names ``fn`` (its nested functions included) assigns but never reads.
+    A name read only as the receiver of ``.append`` or ``.extend`` is never
+    read: the list it builds goes nowhere. ``_``-prefixed names are exempt."""
+    receivers = {
+        id(node.func.value)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("append", "extend") and isinstance(node.func.value, ast.Name)
+    }
+    stored, read = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node.ctx, ast.Load) and id(node) not in receivers:
+                read.add(node.id)
+    return {name for name in stored - read if not name.startswith("_")}
+
+
+def test_dead_locals_flags_unread_and_append_only_names():
+    fn = ast.parse(
+        "def f(xs):\n"
+        "    rows, used, unused = [], 0, 1\n"
+        "    for x in xs:\n"
+        "        rows.append(x)\n"
+        "        used += x\n"
+        "    return used\n"
+    ).body[0]
+    assert dead_locals(fn) == {"rows", "unused"}
+
+
+def test_no_function_keeps_a_dead_local():
+    # a local assigned and never read is bookkeeping nothing uses
+    found = []
+    for path in sorted(Path(bbmlab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{fn.name}:{name}" for name in sorted(dead_locals(fn))]
+    assert not found

@@ -458,7 +458,8 @@ def test_simulate_spine_is_the_guided_spine(law, kind):
             assert spine_decomposition(alone, t) == spine_decomposition(whole, t)
             if kind == "flat":  # the envelope needs a smooth centre
                 eta = envelope_eta(tube.path, params.rm, 1.0, tube.epsilon)[1]
-                assert envelope_check(alone, t, eta) == envelope_check(whole, t, eta)
+                d = spine_decomposition(whole, t)
+                assert envelope_check(alone, t, eta, d) == envelope_check(whole, t, eta, d)
     for t in (-0.1, 4.1):
         with pytest.raises(ValueError, match="no spine particle alive"):
             spine_decomposition(alone, t)
@@ -679,8 +680,7 @@ def test_integral_bound_validation_sweep():
         forest = simulate_forest(params, grid, stream=RngStream(40, (rep,)))
         mem = TubeMembership(forest, tube, bridge=False)
         w = TubeWeights(forest, tube, mem)
-        z, count, bound, holds = count_bound_check(w)
-        assert holds
+        assert count_bound_check(w).holds
         chk = integral_bound_check(w, mem.members_at(4.0), 4.0)
         assert chk.holds.all()
         checked += len(chk.holds)
@@ -724,7 +724,7 @@ def test_envelope_holds_per_replicate():
     assert ok
     for rep in range(60):
         wf = simulate_spine(params, tube, grid, stream=RngStream(41, (rep,)))
-        chk = envelope_check(wf, tube.t_end, eta)
+        chk = envelope_check(wf, tube.t_end, eta, spine_decomposition(wf, tube.t_end))
         assert chk.holds
 
 
